@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from itertools import product as iter_product
+from typing import Iterable, Iterator, Mapping
 
 from .base import AlgebraElement, BaseOperadConfig, ConfigError
 from .poly import Mono, Polynomial, positive_support
@@ -37,6 +38,14 @@ from .rt0 import (
     iota,
     odot,
     substitute_class,
+)
+from .superops import (
+    AxiomReport,
+    axiom1_indices,
+    axiom2_indices,
+    axiom3_indices,
+    axiom4_indices,
+    tally,
 )
 
 # the involution is hit with the same few arguments over and over when
@@ -509,12 +518,10 @@ def _describe(x: MTildeElement) -> str:
 
 def operad_axiom_check(
     base: BaseOperadConfig, max_arity: int = 3, max_degree: int = 2
-) -> dict[str, "AxiomReport"]:
+) -> dict[str, AxiomReport]:
     """Verify the four cyclic-operad axioms over the given base on
     spanning sets of bounded slot degree; the family slots are even so
     all four axioms are sign-free here."""
-    from .superops import AxiomReport, compose_permutations
-
     spanning = {
         arity: spanning_elements(arity, base, max_degree)
         for arity in range(1, max_arity + 1)
@@ -539,98 +546,48 @@ def operad_axiom_check(
             act_cache[key] = result
         return result
 
-    def perms_fixing_zero(n: int) -> list[tuple[int, ...]]:
-        from itertools import permutations
+    def axiom1() -> Iterator[str | None]:
+        for m, n, j, pi, rho, sigma in axiom1_indices(max_arity):
+            for x, y in iter_product(spanning[m], spanning[n]):
+                lhs = cact(sigma, ccompose(x, y, j))
+                rhs = ccompose(cact(pi, x), cact(rho, y), pi[j])
+                yield None if lhs == rhs else (
+                    f"m={m} n={n} j={j} pi={pi} rho={rho} "
+                    f"x={_describe(x)} y={_describe(y)}"
+                )
 
-        return [(0,) + rest for rest in permutations(range(1, n + 1))]
+    def axiom2() -> Iterator[str | None]:
+        for m, n, tau_m, tau_n, tau_out in axiom2_indices(max_arity):
+            for x, y in iter_product(spanning[m], spanning[n]):
+                lhs = cact(tau_out, ccompose(x, y, m))
+                rhs = ccompose(cact(tau_n, y), cact(tau_m, x), 1)
+                yield None if lhs == rhs else (
+                    f"m={m} n={n} x={_describe(x)} y={_describe(y)}"
+                )
 
-    def cycle(n: int) -> tuple[int, ...]:
-        return tuple((i + 1) % (n + 1) for i in range(n + 1))
+    def describe3(k, l, m, i, j, a, b, c) -> str:
+        return (
+            f"k={k} l={l} m={m} i={i} j={j} "
+            f"a={_describe(a)} b={_describe(b)} c={_describe(c)}"
+        )
 
-    reports: dict[str, AxiomReport] = {}
+    def axiom3() -> Iterator[str | None]:
+        for k, l, m, i, j, j_after in axiom3_indices(max_arity):
+            for a, b, c in iter_product(spanning[k], spanning[l], spanning[m]):
+                lhs = ccompose(ccompose(a, b, i), c, j_after)
+                rhs = ccompose(ccompose(a, c, j), b, i)
+                yield None if lhs == rhs else describe3(k, l, m, i, j, a, b, c)
 
-    checked = 0
-    failure = None
-    for m in range(1, max_arity + 1):
-        for n in range(1, max_arity + 1):
-            for j in range(1, m + 1):
-                for pi in perms_fixing_zero(m):
-                    for rho in perms_fixing_zero(n):
-                        sigma = compose_permutations(pi, rho, j, m, n)
-                        for x in spanning[m]:
-                            for y in spanning[n]:
-                                lhs = cact(sigma, ccompose(x, y, j))
-                                rhs = ccompose(
-                                    cact(pi, x), cact(rho, y), pi[j]
-                                )
-                                checked += 1
-                                if lhs != rhs and failure is None:
-                                    failure = (
-                                        f"m={m} n={n} j={j} pi={pi} rho={rho} "
-                                        f"x={_describe(x)} y={_describe(y)}"
-                                    )
-    reports["axiom1"] = AxiomReport(failure is None, checked, failure)
+    def axiom4() -> Iterator[str | None]:
+        for k, l, m, i, j, j_after in axiom4_indices(max_arity):
+            for a, b, c in iter_product(spanning[k], spanning[l], spanning[m]):
+                lhs = ccompose(ccompose(a, b, i), c, j_after)
+                rhs = ccompose(a, ccompose(b, c, j), i)
+                yield None if lhs == rhs else describe3(k, l, m, i, j, a, b, c)
 
-    checked = 0
-    failure = None
-    for m in range(1, max_arity + 1):
-        for n in range(1, max_arity + 1):
-            tau_out = cycle(m + n - 1)
-            tau_m, tau_n = cycle(m), cycle(n)
-            for x in spanning[m]:
-                for y in spanning[n]:
-                    lhs = cact(tau_out, ccompose(x, y, m))
-                    rhs = ccompose(cact(tau_n, y), cact(tau_m, x), 1)
-                    checked += 1
-                    if lhs != rhs and failure is None:
-                        failure = (
-                            f"m={m} n={n} x={_describe(x)} y={_describe(y)}"
-                        )
-    reports["axiom2"] = AxiomReport(failure is None, checked, failure)
-
-    checked = 0
-    failure = None
-    for k in range(2, max_arity + 1):
-        for l in range(1, max_arity + 1):
-            for m in range(1, max_arity + 1):
-                for i in range(1, k + 1):
-                    for j in range(i + 1, k + 1):
-                        for a in spanning[k]:
-                            for b in spanning[l]:
-                                for c in spanning[m]:
-                                    lhs = ccompose(
-                                        ccompose(a, b, i), c, j + l - 1
-                                    )
-                                    rhs = ccompose(ccompose(a, c, j), b, i)
-                                    checked += 1
-                                    if lhs != rhs and failure is None:
-                                        failure = (
-                                            f"k={k} l={l} m={m} i={i} j={j} "
-                                            f"a={_describe(a)} b={_describe(b)} "
-                                            f"c={_describe(c)}"
-                                        )
-    reports["axiom3"] = AxiomReport(failure is None, checked, failure)
-
-    checked = 0
-    failure = None
-    for k in range(1, max_arity + 1):
-        for l in range(1, max_arity + 1):
-            for m in range(1, max_arity + 1):
-                for i in range(1, k + 1):
-                    for j in range(1, l + 1):
-                        for a in spanning[k]:
-                            for b in spanning[l]:
-                                for c in spanning[m]:
-                                    lhs = ccompose(
-                                        ccompose(a, b, i), c, i + j - 1
-                                    )
-                                    rhs = ccompose(a, ccompose(b, c, j), i)
-                                    checked += 1
-                                    if lhs != rhs and failure is None:
-                                        failure = (
-                                            f"k={k} l={l} m={m} i={i} j={j} "
-                                            f"a={_describe(a)} b={_describe(b)} "
-                                            f"c={_describe(c)}"
-                                        )
-    reports["axiom4"] = AxiomReport(failure is None, checked, failure)
-    return reports
+    return {
+        "axiom1": tally(axiom1()),
+        "axiom2": tally(axiom2()),
+        "axiom3": tally(axiom3()),
+        "axiom4": tally(axiom4()),
+    }

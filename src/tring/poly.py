@@ -12,6 +12,7 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -59,11 +60,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 
 def mono_degree(a: Mono) -> int:
     return sum(exp for _, exp in a)
-
-
-def mono_support(a: Mono) -> frozenset[int]:
-    """Set of variable indices with positive exponent."""
-    return frozenset(var for var, _ in a)
 
 
 def positive_support(a: Mono) -> frozenset[int]:
@@ -418,6 +414,8 @@ class ParseError(ValueError):
 
 
 _TOKEN_CHARS = set("+-*^/()")
+# variable names are canonical: t0, t1, ..., never t01 or t007
+_VARIABLE = re.compile(r"t(0|[1-9][0-9]*)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -534,7 +532,7 @@ class _Parser:
                 return Polynomial.const(Fraction(numerator, int(value)))
             return Polynomial.const(numerator)
         if kind == "name":
-            if value[0] != "t" or not value[1:].isdigit():
+            if not _VARIABLE.fullmatch(value):
                 raise ParseError(f"unknown variable {value!r}", where)
             return Polynomial.variable(int(value[1:]))
         raise ParseError(f"unexpected {value!r}", where)

@@ -117,10 +117,6 @@ class RT0Element:
         return cls._raw({n: Polynomial(terms) for n, terms in grouped.items()})
 
     @classmethod
-    def from_relement(cls, f: RElement) -> "RT0Element":
-        return cls._raw(dict(f.components))
-
-    @classmethod
     def from_text(cls, text: str) -> "RT0Element":
         from .poly import parse_polynomial
 

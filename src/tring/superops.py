@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from itertools import product as iter_product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import solve_exact
 
@@ -414,25 +415,71 @@ class AxiomReport:
     counterexample: str | None
 
 
-def _basis_tuples(dim: int, slots: int) -> list[BasisTuple]:
-    return [tuple(key) for key in iter_product(range(dim), repeat=slots)]
+def tally(results: Iterable[str | None]) -> AxiomReport:
+    """Count every case and keep the first failure.  Each result is None
+    for a case that holds and the counterexample of one that fails."""
+    results = iter(results)
+    checked = 0
+    for result in results:
+        checked += 1
+        if result is not None:
+            # the cases after the first failure still run and count
+            return AxiomReport(False, checked + sum(1 for _ in results), result)
+    return AxiomReport(True, checked, None)
 
 
 def _perms_fixing_zero(n: int) -> list[BasisTuple]:
-    from itertools import permutations
-
     return [(0,) + rest for rest in permutations(range(1, n + 1))]
-
-
-def _all_perms(n: int) -> list[BasisTuple]:
-    from itertools import permutations
-
-    return [tuple(p) for p in permutations(range(n + 1))]
 
 
 def _cycle(n: int) -> BasisTuple:
     # the (n+1)-cycle sending 0 -> 1 -> ... -> n -> 0
     return tuple((i + 1) % (n + 1) for i in range(n + 1))
+
+
+# The index shapes of the four axioms, shared by every checker; each
+# checker runs its own element enumeration inside them.
+
+
+def axiom1_indices(max_arity: int) -> Iterator[tuple]:
+    """(m, n, j, pi, rho, sigma): equivariance of composing at slot j."""
+    for m in range(1, max_arity + 1):
+        for n in range(1, max_arity + 1):
+            for j in range(1, m + 1):
+                for pi in _perms_fixing_zero(m):
+                    for rho in _perms_fixing_zero(n):
+                        yield m, n, j, pi, rho, compose_permutations(pi, rho, j, m, n)
+
+
+def axiom2_indices(max_arity: int) -> Iterator[tuple]:
+    """(m, n, tau_m, tau_n, tau_out): rotation of the outermost slot."""
+    for m in range(1, max_arity + 1):
+        for n in range(1, max_arity + 1):
+            yield m, n, _cycle(m), _cycle(n), _cycle(m + n - 1)
+
+
+def axiom3_indices(max_arity: int) -> Iterator[tuple[int, ...]]:
+    """(k, l, m, i, j, j+l-1): disjoint slots i < j of the arity-k factor."""
+    for k in range(2, max_arity + 1):
+        for l in range(1, max_arity + 1):
+            for m in range(1, max_arity + 1):
+                for i in range(1, k + 1):
+                    for j in range(i + 1, k + 1):
+                        yield k, l, m, i, j, j + l - 1
+
+
+def axiom4_indices(max_arity: int) -> Iterator[tuple[int, ...]]:
+    """(k, l, m, i, j, i+j-1): slot j of the factor entering slot i."""
+    for k in range(1, max_arity + 1):
+        for l in range(1, max_arity + 1):
+            for m in range(1, max_arity + 1):
+                for i in range(1, k + 1):
+                    for j in range(1, l + 1):
+                        yield k, l, m, i, j, i + j - 1
+
+
+def _basis_tuples(dim: int, slots: int) -> list[BasisTuple]:
+    return [tuple(key) for key in iter_product(range(dim), repeat=slots)]
 
 
 def _partners(space: SuperSpace) -> list[list[int]]:
@@ -451,177 +498,117 @@ def es_axiom_check(space: SuperSpace, max_arity: int = 3) -> dict[str, AxiomRepo
     no exchange and hence no sign.  Compositions with a vanishing
     contraction factor are skipped: both sides are zero and carry no
     information.  Runs on raw tuples for speed."""
-    dim = space.dim
     parity_of = space.parity
 
     def total_parity(t: BasisTuple) -> int:
         return sum(parity_of[i] for i in t) & 1
     partners = _partners(space)
-    tuples = {k: _basis_tuples(dim, k) for k in range(0, 2 * max_arity + 2)}
+    tuples = {k: _basis_tuples(space.dim, k) for k in range(0, 2 * max_arity + 2)}
     word_cache: dict[BasisTuple, tuple[int, ...]] = {}
 
-    def word(perm: BasisTuple) -> tuple[int, ...]:
-        cached = word_cache.get(perm)
-        if cached is None:
-            cached = _perm_word(perm)
-            word_cache[perm] = cached
-        return cached
+    def apply(perm: BasisTuple, t: BasisTuple) -> tuple[int, BasisTuple]:
+        word = word_cache.get(perm)
+        if word is None:
+            word = word_cache[perm] = _perm_word(perm)
+        return _permute_raw(space, word, t)
 
-    def apply(perm: BasisTuple, sign: int, t: BasisTuple) -> tuple[int, BasisTuple]:
-        s, image = _permute_raw(space, word(perm), t)
-        return sign * s, image
+    def contractible(v: BasisTuple, j: int, n: int) -> Iterator[BasisTuple]:
+        # the arity-n basis tensors whose slot 0 pairs with slot j of v
+        for w0 in partners[v[j]]:
+            for w_rest in tuples[n]:
+                yield (w0,) + w_rest
 
-    reports: dict[str, AxiomReport] = {}
-
-    # (1) equivariance of composition
-    checked = 0
-    failure = None
-    for m in range(1, max_arity + 1):
-        for n in range(1, max_arity + 1):
-            for j in range(1, m + 1):
-                for pi in _perms_fixing_zero(m):
-                    for rho in _perms_fixing_zero(n):
-                        sigma = compose_permutations(pi, rho, j, m, n)
-                        for v in tuples[m + 1]:
-                            for w0 in partners[v[j]]:
-                                for w_rest in tuples[n]:
-                                    w = (w0,) + w_rest
-                                    base = _compose_raw(space, v, w, j)
-                                    assert base is not None
-                                    sign_l, left = apply(sigma, 1, base[1])
-                                    coeff_l = base[0] * sign_l
-                                    sv, vt = apply(pi, 1, v)
-                                    sw, wt = apply(rho, 1, w)
-                                    right = _compose_raw(space, vt, wt, pi[j])
-                                    checked += 1
-                                    ok = (
-                                        right is not None
-                                        and right[1] == left
-                                        and right[0] * sv * sw == coeff_l
-                                    )
-                                    if not ok and failure is None:
-                                        failure = (
-                                            f"m={m} n={n} j={j} pi={pi} "
-                                            f"rho={rho} v={v} w={w}"
-                                        )
-    reports["axiom1"] = AxiomReport(failure is None, checked, failure)
-
-    # (2) rotation exchanges the outermost composition, at the cost of the
-    # sign of swapping the two arguments
-    checked = 0
-    failure = None
-    for m in range(1, max_arity + 1):
-        for n in range(1, max_arity + 1):
-            tau_m, tau_n = _cycle(m), _cycle(n)
-            tau_out = _cycle(m + n - 1)
+    def axiom1() -> Iterator[str | None]:
+        # equivariance of composition
+        for m, n, j, pi, rho, sigma in axiom1_indices(max_arity):
             for v in tuples[m + 1]:
-                for w0 in partners[v[m]]:
-                    for w_rest in tuples[n]:
-                        w = (w0,) + w_rest
-                        base = _compose_raw(space, v, w, m)
-                        assert base is not None
-                        sign_l, left = apply(tau_out, 1, base[1])
-                        coeff_l = base[0] * sign_l
-                        sv, vt = apply(tau_m, 1, v)
-                        sw, wt = apply(tau_n, 1, w)
-                        exchange = -1 if total_parity(v) and total_parity(w) else 1
-                        right = _compose_raw(space, wt, vt, 1)
-                        checked += 1
+                for w in contractible(v, j, n):
+                    base = _compose_raw(space, v, w, j)
+                    assert base is not None
+                    sign_l, left = apply(sigma, base[1])
+                    sv, vt = apply(pi, v)
+                    sw, wt = apply(rho, w)
+                    right = _compose_raw(space, vt, wt, pi[j])
+                    ok = (
+                        right is not None
+                        and right[1] == left
+                        and right[0] * sv * sw == base[0] * sign_l
+                    )
+                    yield None if ok else (
+                        f"m={m} n={n} j={j} pi={pi} rho={rho} v={v} w={w}"
+                    )
+
+    def axiom2() -> Iterator[str | None]:
+        # rotation exchanges the outermost composition, at the cost of the
+        # sign of swapping the two arguments
+        for m, n, tau_m, tau_n, tau_out in axiom2_indices(max_arity):
+            for v in tuples[m + 1]:
+                for w in contractible(v, m, n):
+                    base = _compose_raw(space, v, w, m)
+                    assert base is not None
+                    sign_l, left = apply(tau_out, base[1])
+                    sv, vt = apply(tau_m, v)
+                    sw, wt = apply(tau_n, w)
+                    exchange = -1 if total_parity(v) and total_parity(w) else 1
+                    right = _compose_raw(space, wt, vt, 1)
+                    ok = (
+                        right is not None
+                        and right[1] == left
+                        and right[0] * sv * sw * exchange == base[0] * sign_l
+                    )
+                    yield None if ok else f"m={m} n={n} v={v} w={w}"
+
+    def axiom3() -> Iterator[str | None]:
+        # disjoint slots compose in either order
+        for k, l, m, i, j, j_after in axiom3_indices(max_arity):
+            for a in tuples[k + 1]:
+                for b in contractible(a, i, l):
+                    first = _compose_raw(space, a, b, i)
+                    assert first is not None
+                    for c in contractible(a, j, m):
+                        lhs = _compose_raw(space, first[1], c, j_after)
+                        second = _compose_raw(space, a, c, j)
+                        assert second is not None
+                        rhs = _compose_raw(space, second[1], b, i)
+                        exchange = -1 if total_parity(b) and total_parity(c) else 1
                         ok = (
-                            right is not None
-                            and right[1] == left
-                            and right[0] * sv * sw * exchange == coeff_l
+                            lhs is not None
+                            and rhs is not None
+                            and lhs[1] == rhs[1]
+                            and first[0] * lhs[0] == second[0] * rhs[0] * exchange
                         )
-                        if not ok and failure is None:
-                            failure = f"m={m} n={n} v={v} w={w}"
-    reports["axiom2"] = AxiomReport(failure is None, checked, failure)
+                        yield None if ok else (
+                            f"k={k} l={l} m={m} i={i} j={j} a={a} b={b} c={c}"
+                        )
 
-    # (3) disjoint slots compose in either order
-    checked = 0
-    failure = None
-    for k in range(2, max_arity + 1):
-        for l in range(1, max_arity + 1):
-            for m in range(1, max_arity + 1):
-                for i in range(1, k + 1):
-                    for j in range(i + 1, k + 1):
-                        for a in tuples[k + 1]:
-                            for b0 in partners[a[i]]:
-                                for b_rest in tuples[l]:
-                                    b = (b0,) + b_rest
-                                    for c0 in partners[a[j]]:
-                                        for c_rest in tuples[m]:
-                                            c = (c0,) + c_rest
-                                            first = _compose_raw(space, a, b, i)
-                                            assert first is not None
-                                            lhs = _compose_raw(
-                                                space, first[1], c, j + l - 1
-                                            )
-                                            second = _compose_raw(space, a, c, j)
-                                            assert second is not None
-                                            rhs = _compose_raw(
-                                                space, second[1], b, i
-                                            )
-                                            exchange = (
-                                                -1
-                                                if total_parity(b)
-                                                and total_parity(c)
-                                                else 1
-                                            )
-                                            checked += 1
-                                            ok = (
-                                                lhs is not None
-                                                and rhs is not None
-                                                and lhs[1] == rhs[1]
-                                                and first[0] * lhs[0]
-                                                == second[0] * rhs[0] * exchange
-                                            )
-                                            if not ok and failure is None:
-                                                failure = (
-                                                    f"k={k} l={l} m={m} i={i} "
-                                                    f"j={j} a={a} b={b} c={c}"
-                                                )
-    reports["axiom3"] = AxiomReport(failure is None, checked, failure)
+    def axiom4() -> Iterator[str | None]:
+        # nested slots associate
+        for k, l, m, i, j, j_after in axiom4_indices(max_arity):
+            for a in tuples[k + 1]:
+                for b in contractible(a, i, l):
+                    first = _compose_raw(space, a, b, i)
+                    assert first is not None
+                    for c in contractible(b, j, m):
+                        lhs = _compose_raw(space, first[1], c, j_after)
+                        inner = _compose_raw(space, b, c, j)
+                        assert inner is not None
+                        rhs = _compose_raw(space, a, inner[1], i)
+                        ok = (
+                            lhs is not None
+                            and rhs is not None
+                            and lhs[1] == rhs[1]
+                            and first[0] * lhs[0] == inner[0] * rhs[0]
+                        )
+                        yield None if ok else (
+                            f"k={k} l={l} m={m} i={i} j={j} a={a} b={b} c={c}"
+                        )
 
-    # (4) nested slots associate
-    checked = 0
-    failure = None
-    for k in range(1, max_arity + 1):
-        for l in range(1, max_arity + 1):
-            for m in range(1, max_arity + 1):
-                for i in range(1, k + 1):
-                    for j in range(1, l + 1):
-                        for a in tuples[k + 1]:
-                            for b0 in partners[a[i]]:
-                                for b_rest in tuples[l]:
-                                    b = (b0,) + b_rest
-                                    for c0 in partners[b[j]]:
-                                        for c_rest in tuples[m]:
-                                            c = (c0,) + c_rest
-                                            first = _compose_raw(space, a, b, i)
-                                            assert first is not None
-                                            lhs = _compose_raw(
-                                                space, first[1], c, i + j - 1
-                                            )
-                                            inner = _compose_raw(space, b, c, j)
-                                            assert inner is not None
-                                            rhs = _compose_raw(
-                                                space, a, inner[1], i
-                                            )
-                                            checked += 1
-                                            ok = (
-                                                lhs is not None
-                                                and rhs is not None
-                                                and lhs[1] == rhs[1]
-                                                and first[0] * lhs[0]
-                                                == inner[0] * rhs[0]
-                                            )
-                                            if not ok and failure is None:
-                                                failure = (
-                                                    f"k={k} l={l} m={m} i={i} "
-                                                    f"j={j} a={a} b={b} c={c}"
-                                                )
-    reports["axiom4"] = AxiomReport(failure is None, checked, failure)
-    return reports
+    return {
+        "axiom1": tally(axiom1()),
+        "axiom2": tally(axiom2()),
+        "axiom3": tally(axiom3()),
+        "axiom4": tally(axiom4()),
+    }
 
 
 def vowa_exhaustive(

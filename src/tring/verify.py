@@ -1,10 +1,20 @@
 """Verification suites: each one machine-checks a family of identities
 and returns a structured verdict report.
 
+Every check is a list of cases and a test that returns None for a case
+that holds and a counterexample string for one that fails, tallied by
+:func:`tring.superops.tally`.  The count a check's params print is the
+size of its case set, and its counterexample is the first failing case
+in enumeration order.  Every case runs even after a failure, and a
+check draws all of its random inputs before its first case runs, so a
+failing check does not shift the draws of the checks after it.
+
 Reports are deterministic for fixed inputs: checks appear in a fixed
 order and the seed of every randomized check is recorded.  Wall-clock
 durations are collected but only emitted when explicitly requested, so
-that identical invocations produce identical bytes.
+that identical invocations produce identical bytes.  Bounds no suite
+accepts (a negative seed or bound, max_arity below 1, dim outside 1..6)
+raise ValueError when constructed, before any suite runs.
 """
 
 from __future__ import annotations
@@ -13,12 +23,23 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product as iter_product
+from itertools import starmap
+from math import comb
 from typing import Callable
 
 from . import base as base_mod
 from . import mtilde, rt0, superops
 from .linalg import is_invertible
-from .poly import Polynomial, format_polynomial, parse_polynomial
+from .poly import (
+    IncreasingMap,
+    Polynomial,
+    enumerate_increasing_maps,
+    format_polynomial,
+    parse_polynomial,
+    pullback,
+    pushforward,
+)
 from .ring import (
     NotInRingError,
     RElement,
@@ -28,6 +49,8 @@ from .ring import (
     r_mul,
     restrict_level,
 )
+from .rt0 import _exact_compositions
+from .superops import AxiomReport, tally
 
 SCHEMA_VERSION = 1
 
@@ -90,6 +113,9 @@ class SuiteReport:
     def all_passed(self) -> bool:
         return self.failed == 0
 
+    def add(self, id: str, params: str, outcome: AxiomReport) -> None:
+        self.checks.append(CheckResult(id, params, outcome.ok, outcome.counterexample))
+
     def to_dict(self, with_timings: bool = False) -> dict:
         out = {
             "schema": SCHEMA_VERSION,
@@ -140,6 +166,15 @@ class Bounds:
     seed: int = 0
     base: str | None = None
 
+    def __post_init__(self) -> None:
+        for name, low in (("seed", 0), ("max_degree", 0), ("max_n", 0), ("max_arity", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name.replace('_', '-')} must be >= {low}, got {value}")
+        # mixed_space is provided in dimensions 1..6
+        if self.dim is not None and not 1 <= self.dim <= 6:
+            raise ValueError(f"dim must be in 1..6, got {self.dim}")
+
     def resolved(self, **defaults: int) -> dict:
         out = {}
         for name, value in defaults.items():
@@ -179,10 +214,12 @@ def _random_relement(rng: random.Random, max_n: int = 2, extra: int = 2) -> REle
     return RElement({n: p for n, p in components.items() if p})
 
 
-def _random_rt0_monomial(rng: random.Random, max_n: int = 2, max_exp: int = 2) -> rt0.RT0Element:
+def _random_rt0_monomial(
+    rng: random.Random, max_n: int = 2, max_exp: int = 2, t0: bool = True
+) -> rt0.RT0Element:
     n = rng.randint(0, max_n)
     exps = {i: rng.randint(1, max_exp) for i in range(1, n + 1)}
-    a0 = rng.randint(0, max_exp)
+    a0 = rng.randint(0, max_exp) if t0 else 0
     if a0:
         exps[0] = a0
     return rt0.RT0Element.from_polynomial(Polynomial.monomial(exps))
@@ -209,6 +246,18 @@ def _monomial_elements(max_degree: int) -> list[tuple[int, rt0.RT0Element]]:
     return out
 
 
+def _pairs(
+    elements: list[tuple[int, rt0.RT0Element]], max_degree: int
+) -> list[tuple[int, rt0.RT0Element, int, rt0.RT0Element]]:
+    """(d1, x, d2, y) for the ordered pairs of total degree <= max_degree."""
+    return [
+        (d1, x, d2, y)
+        for d1, x in elements
+        for d2, y in elements
+        if d1 + d2 <= max_degree
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Individual suites
 # ---------------------------------------------------------------------------
@@ -218,113 +267,104 @@ def run_ring(bounds: Bounds) -> SuiteReport:
     report = SuiteReport("ring", bounds.seed, bounds.resolved())
     rng = random.Random(bounds.seed)
 
-    ok = True
-    witness = None
-    for _ in range(40):
-        p = _random_polynomial(rng)
-        q = _random_polynomial(rng)
-        r = _random_polynomial(rng)
-        if not (
+    def ring_laws(p: Polynomial, q: Polynomial, r: Polynomial) -> str | None:
+        ok = (
             p + q == q + p
             and (p + q) + r == p + (q + r)
             and p * q == q * p
             and (p * q) * r == p * (q * r)
             and p * (q + r) == p * q + p * r
-        ):
-            ok = False
-            witness = f"p={p} q={q} r={r}"
-            break
-    report.checks.append(CheckResult("poly_ring_laws", "40 random triples", ok, witness))
+        )
+        return None if ok else f"p={p} q={q} r={r}"
 
-    ok = True
-    witness = None
-    for _ in range(40):
-        p = _random_polynomial(rng)
-        if parse_polynomial(format_polynomial(p)) != p:
-            ok = False
-            witness = format_polynomial(p)
-            break
-    report.checks.append(CheckResult("parse_print_roundtrip", "40 random", ok, witness))
+    triples = [tuple(_random_polynomial(rng) for _ in range(3)) for _ in range(40)]
+    report.add("poly_ring_laws", "40 random triples", tally(starmap(ring_laws, triples)))
 
-    from math import comb
+    polys = [_random_polynomial(rng) for _ in range(40)]
+    report.add(
+        "parse_print_roundtrip",
+        "40 random",
+        tally(
+            None if parse_polynomial(format_polynomial(p)) == p else format_polynomial(p)
+            for p in polys
+        ),
+    )
 
-    from .poly import IncreasingMap, enumerate_increasing_maps, pullback, pushforward
+    def map_counts(n: int, d: int) -> str | None:
+        maps = enumerate_increasing_maps(n, d)
+        ok = len(maps) == comb(d, n) and len({m.values for m in maps}) == len(maps)
+        return None if ok else f"n={n} d={d}"
 
-    ok = True
-    witness = None
-    for n in range(0, 5):
-        for d in range(0, 7):
-            maps = enumerate_increasing_maps(n, d)
-            if len(maps) != comb(d, n) or len({m.values for m in maps}) != len(maps):
-                ok = False
-                witness = f"n={n} d={d}"
-    report.checks.append(CheckResult("increasing_map_counts", "n<=4 d<=6", ok, witness))
+    report.add(
+        "increasing_map_counts",
+        "n<=4 d<=6",
+        tally(starmap(map_counts, iter_product(range(5), range(7)))),
+    )
 
     alpha = IncreasingMap((2, 3, 5), 5)
-    ok = True
-    witness = None
-    for _ in range(25):
-        p = _random_polynomial(rng, max_var=3)
-        q = _random_polynomial(rng, max_var=3)
+
+    def pushforward_laws(p: Polynomial, q: Polynomial) -> str | None:
         if pushforward(alpha, p * q) != pushforward(alpha, p) * pushforward(alpha, q):
-            ok, witness = False, f"p={p} q={q}"
-            break
+            return f"p={p} q={q}"
         if pullback(alpha, pushforward(alpha, p)) != p:
-            ok, witness = False, f"p={p}"
-            break
-    report.checks.append(
-        CheckResult("pushforward_pullback", "25 random against (2,3,5)", ok, witness)
+            return f"p={p}"
+        return None
+
+    pairs = [
+        (_random_polynomial(rng, max_var=3), _random_polynomial(rng, max_var=3))
+        for _ in range(25)
+    ]
+    report.add(
+        "pushforward_pullback",
+        "25 random against (2,3,5)",
+        tally(starmap(pushforward_laws, pairs)),
     )
 
-    ok = True
-    witness = None
-    for _ in range(20):
-        f = _random_relement(rng)
-        g = _random_relement(rng)
-        h = _random_relement(rng)
-        if r_mul(f, g) != r_mul(g, f) or r_mul(r_mul(f, g), h) != r_mul(
-            f, r_mul(g, h)
-        ):
-            ok, witness = False, f"f={f.to_pairs()} g={g.to_pairs()} h={h.to_pairs()}"
-            break
-    report.checks.append(
-        CheckResult("family_product_comm_assoc", "20 random triples", ok, witness)
+    def family_laws(f: RElement, g: RElement, h: RElement) -> str | None:
+        if r_mul(f, g) == r_mul(g, f) and r_mul(r_mul(f, g), h) == r_mul(f, r_mul(g, h)):
+            return None
+        return f"f={f.to_pairs()} g={g.to_pairs()} h={h.to_pairs()}"
+
+    triples = [tuple(_random_relement(rng) for _ in range(3)) for _ in range(20)]
+    report.add(
+        "family_product_comm_assoc",
+        "20 random triples",
+        tally(starmap(family_laws, triples)),
     )
 
-    ok = True
-    witness = None
-    for _ in range(20):
-        f = _random_relement(rng)
-        g = _random_relement(rng)
-        for d in range(0, 6):
-            lhs = project_to_level(r_mul(f, g), d).value
-            rhs = project_to_level(f, d).value * project_to_level(g, d).value
-            if lhs != rhs:
-                ok, witness = False, f"d={d} f={f.to_pairs()} g={g.to_pairs()}"
-                break
-        if not ok:
-            break
-    report.checks.append(
-        CheckResult("projection_is_ring_hom", "20 random pairs, d<=5", ok, witness)
+    def projection_hom(f: RElement, g: RElement, d: int) -> str | None:
+        lhs = project_to_level(r_mul(f, g), d).value
+        rhs = project_to_level(f, d).value * project_to_level(g, d).value
+        return None if lhs == rhs else f"d={d} f={f.to_pairs()} g={g.to_pairs()}"
+
+    pairs = [(_random_relement(rng), _random_relement(rng)) for _ in range(20)]
+    report.add(
+        "projection_is_ring_hom",
+        "20 random pairs, d<=5",
+        tally(starmap(projection_hom, [(f, g, d) for f, g in pairs for d in range(6)])),
     )
 
-    ok = True
-    witness = None
-    for _ in range(20):
-        f = _random_relement(rng)
+    def tower_levels(f: RElement) -> range:
         top = max(f.components, default=0)
-        for d in range(max(top, 1), top + 3):
-            projected = project_to_level(f, d)
-            if restrict_level(projected) != project_to_level(f, d - 1):
-                ok, witness = False, f"d={d} f={f.to_pairs()}"
-                break
-            if decode_rd(projected.value, d) != f:
-                ok, witness = False, f"decode d={d} f={f.to_pairs()}"
-                break
-        if not ok:
-            break
-    report.checks.append(
-        CheckResult("tower_and_decode", "20 random families", ok, witness)
+        return range(max(top, 1), top + 3)
+
+    def tower_and_decode(f: RElement, d: int) -> str | None:
+        projected = project_to_level(f, d)
+        if restrict_level(projected) != project_to_level(f, d - 1):
+            return f"d={d} f={f.to_pairs()}"
+        if decode_rd(projected.value, d) != f:
+            return f"decode d={d} f={f.to_pairs()}"
+        return None
+
+    families = [_random_relement(rng) for _ in range(20)]
+    report.add(
+        "tower_and_decode",
+        "20 random families",
+        tally(
+            starmap(
+                tower_and_decode, [(f, d) for f in families for d in tower_levels(f)]
+            )
+        ),
     )
     return report
 
@@ -336,51 +376,37 @@ def run_iota(bounds: Bounds) -> SuiteReport:
     elements = _monomial_elements(max_degree)
 
     for degree in range(max_degree + 1):
-        ok = True
-        witness = None
-        for d, x in elements:
-            if d != degree:
-                continue
-            if rt0.iota(rt0.iota(x)) != x:
-                ok, witness = False, str(x)
-                break
-        report.checks.append(
-            CheckResult("involution_squares_to_id", f"degree={degree}", ok, witness)
+        report.add(
+            "involution_squares_to_id",
+            f"degree={degree}",
+            tally(
+                None if rt0.iota(rt0.iota(x)) == x else str(x)
+                for d, x in elements
+                if d == degree
+            ),
         )
 
-    ok = True
-    witness = None
-    for d1, x in elements:
-        for d2, y in elements:
-            if d1 + d2 > max_degree:
-                continue
-            if rt0.iota(rt0.dot_mul(x, y)) != rt0.dot_mul(rt0.iota(x), rt0.iota(y)):
-                ok, witness = False, f"x={x} y={y}"
-                break
-        if not ok:
-            break
-    report.checks.append(
-        CheckResult(
-            "involution_respects_dot", f"all pairs, total degree<={max_degree}", ok, witness
-        )
+    report.add(
+        "involution_respects_dot",
+        f"all pairs, total degree<={max_degree}",
+        tally(
+            None
+            if rt0.iota(rt0.dot_mul(x, y)) == rt0.dot_mul(rt0.iota(x), rt0.iota(y))
+            else f"x={x} y={y}"
+            for _, x, _, y in _pairs(elements, max_degree)
+        ),
     )
 
     anti_bound = max(max_degree - 1, 0)
-    ok = True
-    witness = None
-    for d1, x in elements:
-        for d2, y in elements:
-            if d1 + d2 > anti_bound:
-                continue
-            if rt0.iota(rt0.odot(x, y)) != rt0.odot(rt0.iota(y), rt0.iota(x)):
-                ok, witness = False, f"x={x} y={y}"
-                break
-        if not ok:
-            break
-    report.checks.append(
-        CheckResult(
-            "involution_reverses_odot", f"all pairs, total degree<={anti_bound}", ok, witness
-        )
+    report.add(
+        "involution_reverses_odot",
+        f"all pairs, total degree<={anti_bound}",
+        tally(
+            None
+            if rt0.iota(rt0.odot(x, y)) == rt0.odot(rt0.iota(y), rt0.iota(x))
+            else f"x={x} y={y}"
+            for _, x, _, y in _pairs(elements, anti_bound)
+        ),
     )
     return report
 
@@ -393,134 +419,96 @@ def run_odot(bounds: Bounds) -> SuiteReport:
     rng = random.Random(bounds.seed)
     elements = _monomial_elements(max_degree)
 
-    ok = True
-    witness = None
-    pair_products: dict[tuple[int, int], rt0.RT0Element] = {}
-    for i, (d1, x) in enumerate(elements):
-        for j, (d2, y) in enumerate(elements):
-            if d1 + d2 > max_degree:
-                continue
-            pair_products[(i, j)] = rt0.odot(x, y)
-    for i, (d1, x) in enumerate(elements):
-        for j, (d2, y) in enumerate(elements):
-            for k, (d3, z) in enumerate(elements):
-                if d1 + d2 + d3 > max_degree:
-                    continue
-                lhs = rt0.odot(pair_products[(i, j)], z)
-                rhs = rt0.odot(x, pair_products[(j, k)])
-                if lhs != rhs:
-                    ok, witness = False, f"x={x} y={y} z={z}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.checks.append(
-        CheckResult(
-            "odot_associative", f"all monomial triples, total degree<={max_degree}", ok, witness
-        )
+    products = {
+        (i, j): rt0.odot(x, y)
+        for i, (d1, x) in enumerate(elements)
+        for j, (d2, y) in enumerate(elements)
+        if d1 + d2 <= max_degree
+    }
+
+    def associative(i: int, j: int, k: int) -> str | None:
+        x, y, z = elements[i][1], elements[j][1], elements[k][1]
+        if rt0.odot(products[i, j], z) == rt0.odot(x, products[j, k]):
+            return None
+        return f"x={x} y={y} z={z}"
+
+    triples = [
+        (i, j, k)
+        for i, (d1, _) in enumerate(elements)
+        for j, (d2, _) in enumerate(elements)
+        for k, (d3, _) in enumerate(elements)
+        if d1 + d2 + d3 <= max_degree
+    ]
+    report.add(
+        "odot_associative",
+        f"all monomial triples, total degree<={max_degree}",
+        tally(starmap(associative, triples)),
     )
 
-    ok = True
-    witness = None
-    for a in range(0, 4):
-        t0a = rt0.RT0Element.t0_power(a)
-        for d1, x in elements:
-            if d1 > 3:
-                continue
-            lifted = rt0.dot_mul(t0a, x)
-            for d2, y in elements:
-                if d2 > 3:
-                    continue
-                if rt0.odot(lifted, y) != rt0.dot_mul(t0a, rt0.odot(x, y)):
-                    ok, witness = False, f"a={a} x={x} y={y}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.checks.append(
-        CheckResult("left_t0_linearity", "a<=3, monomial degrees<=3", ok, witness)
+    low = [x for d, x in elements if d <= 3]
+    t0_powers = [rt0.RT0Element.t0_power(a) for a in range(4)]
+    lifts = [(a, x, rt0.dot_mul(t0_powers[a], x)) for a in range(4) for x in low]
+    report.add(
+        "left_t0_linearity",
+        "a<=3, monomial degrees<=3",
+        tally(
+            None
+            if rt0.odot(lifted, y) == rt0.dot_mul(t0_powers[a], rt0.odot(x, y))
+            else f"a={a} x={x} y={y}"
+            for a, x, lifted in lifts
+            for y in low
+        ),
     )
 
-    ok = True
-    witness = None
-    for _ in range(15):
-        f = _random_rt0_monomial(rng)
-        g = _random_rt0_monomial(rng)
-        for k in range(1, tower_k):
-            if rt0.q_k(f, g, k + 1).set_var_zero(k + 1) != rt0.q_k(f, g, k):
-                ok, witness = False, f"k={k} f={f} g={g}"
-                break
-        if not ok:
-            break
-    report.checks.append(
-        CheckResult(
-            "truncation_tower", f"15 seeded pairs, k<{tower_k}", ok, witness
-        )
+    pairs = [(_random_rt0_monomial(rng), _random_rt0_monomial(rng)) for _ in range(15)]
+    report.add(
+        "truncation_tower",
+        f"15 seeded pairs, k<{tower_k}",
+        tally(
+            None
+            if rt0.q_k(f, g, k + 1).set_var_zero(k + 1) == rt0.q_k(f, g, k)
+            else f"k={k} f={f} g={g}"
+            for f, g in pairs
+            for k in range(1, tower_k)
+        ),
     )
 
-    ok = True
-    witness = None
-    for d1, x in elements:
-        for d2, y in elements:
-            if d1 + d2 > max_degree:
-                continue
-            product = rt0.odot(x, y)
-            if product.is_zero() or not product.is_homogeneous():
-                ok, witness = False, f"x={x} y={y}"
-                break
-            if product.degree() != d1 + d2 + 1:
-                ok, witness = False, f"x={x} y={y}"
-                break
+    def raises_degree(d1: int, x: rt0.RT0Element, d2: int, y: rt0.RT0Element) -> str | None:
+        product = rt0.odot(x, y)
+        ok = (
+            not product.is_zero()
+            and product.is_homogeneous()
+            and product.degree() == d1 + d2 + 1
             # the closed form must also agree with the decoded truncation
-            if product != _odot_by_truncation(x, y):
-                ok, witness = False, f"x={x} y={y}"
-                break
-        if not ok:
-            break
-    report.checks.append(
-        CheckResult(
-            "degree_raising", f"all pairs, total degree<={max_degree}", ok, witness
+            and product == _odot_by_truncation(x, y)
         )
+        return None if ok else f"x={x} y={y}"
+
+    report.add(
+        "degree_raising",
+        f"all pairs, total degree<={max_degree}",
+        tally(starmap(raises_degree, _pairs(elements, max_degree))),
     )
 
-    ok = True
-    witness = None
-    for _ in range(20):
-        f = _random_rt0_monomial(rng)
-        n = rng.randint(0, 2)
-        exps = {i: rng.randint(1, 2) for i in range(1, n + 1)}
-        g = rt0.RT0Element.from_polynomial(Polynomial.monomial(exps))
-        if rt0.odot(f, g) != rt0._concatenation(f, g):
-            ok, witness = False, f"f={f} g={g}"
-            break
-    report.checks.append(
-        CheckResult(
-            "concatenation_consistency", "20 seeded pairs, t0-free right factor", ok, witness
-        )
+    pairs = [
+        (_random_rt0_monomial(rng), _random_rt0_monomial(rng, t0=False))
+        for _ in range(20)
+    ]
+    report.add(
+        "concatenation_consistency",
+        "20 seeded pairs, t0-free right factor",
+        tally(
+            None if rt0.odot(f, g) == rt0._concatenation(f, g) else f"f={f} g={g}"
+            for f, g in pairs
+        ),
     )
 
     leading_bound = 5
-    ok = True
-    witness = None
-    count = 0
-    for degree in range(leading_bound + 1):
-        for mono in rt0.monomials_of_degree(degree):
-            x = rt0.RT0Element.from_polynomial(Polynomial({mono: 1}))
-            count += 1
-            if not rt0.leading_term_check(x):
-                ok, witness = False, str(x)
-                break
-        if not ok:
-            break
-    report.checks.append(
-        CheckResult(
-            "unit_insertion_leading_term",
-            f"{count} monomials, degree<={leading_bound}",
-            ok,
-            witness,
-        )
+    monomials = _monomial_elements(leading_bound)
+    report.add(
+        "unit_insertion_leading_term",
+        f"{len(monomials)} monomials, degree<={leading_bound}",
+        tally(None if rt0.leading_term_check(x) else str(x) for _, x in monomials),
     )
     return report
 
@@ -534,9 +522,7 @@ def run_identity(bounds: Bounds) -> SuiteReport:
     for n in range(resolved["max_n"] + 1):
         power = rt0.dot_power(psi, n)
         ok = rt0.odot(one, power) == rt0.dot_mul(t1, power)
-        report.checks.append(
-            CheckResult("unit_insertion_identity", f"n={n}", ok, None if ok else f"n={n}")
-        )
+        report.add("unit_insertion_identity", f"n={n}", tally([None if ok else f"n={n}"]))
     return report
 
 
@@ -546,14 +532,8 @@ def run_dim(bounds: Bounds) -> SuiteReport:
     for n in range(resolved["max_degree"] + 1):
         monos = rt0.monomials_of_degree(n)
         ok = len(monos) == 2**n and len(set(monos)) == len(monos)
-        report.checks.append(
-            CheckResult(
-                "monomial_count",
-                f"degree={n}",
-                ok,
-                None if ok else f"found {len(monos)} expected {2 ** n}",
-            )
-        )
+        witness = f"found {len(monos)} expected {2 ** n}"
+        report.add("monomial_count", f"degree={n}", tally([None if ok else witness]))
     return report
 
 
@@ -566,186 +546,123 @@ def run_structure(bounds: Bounds) -> SuiteReport:
         for n in range(max_degree + 1):
             matrix, _, _ = rt0._basis_matrix(n, kind)
             ok = is_invertible([list(row) for row in matrix])
-            report.checks.append(
-                CheckResult(
-                    "word_matrix_invertible",
-                    f"kind={kind} degree={n} size={2 ** n}",
-                    ok,
-                    None if ok else "singular",
-                )
+            report.add(
+                "word_matrix_invertible",
+                f"kind={kind} degree={n} size={2 ** n}",
+                tally([None if ok else "singular"]),
             )
 
     roundtrip_bound = min(max_degree, 5)
-    evaluators: dict[str, Callable] = {
-        "structure": rt0.evaluate_structure_word,
-        "iota-basis": rt0.evaluate_involution_word,
+    monomials = _monomial_elements(roundtrip_bound)
+    bases: dict[str, tuple[Callable, Callable]] = {
+        "structure": (
+            lambda x: rt0.odot_basis_expand(x, "structure"),
+            rt0.evaluate_structure_word,
+        ),
+        "iota-basis": (rt0.odot_basis_expand_iota, rt0.evaluate_involution_word),
     }
-    for kind, evaluate in evaluators.items():
-        ok = True
-        witness = None
-        count = 0
-        for degree in range(roundtrip_bound + 1):
-            for mono in rt0.monomials_of_degree(degree):
-                x = rt0.RT0Element.from_polynomial(Polynomial({mono: 1}))
-                if kind == "structure":
-                    expansion = rt0.odot_basis_expand(x, kind)
-                else:
-                    expansion = rt0.odot_basis_expand_iota(x)
-                rebuilt = rt0.RT0Element.zero()
-                for word, coeff in expansion.items():
-                    rebuilt = rebuilt + evaluate(word).scale(coeff)
-                count += 1
-                if rebuilt != x:
-                    ok, witness = False, str(x)
-                    break
-            if not ok:
-                break
-        report.checks.append(
-            CheckResult(
-                "expand_roundtrip",
-                f"kind={kind} {count} monomials, degree<={roundtrip_bound}",
-                ok,
-                witness,
-            )
+
+    def round_trip(x: rt0.RT0Element, expand: Callable, evaluate: Callable) -> str | None:
+        rebuilt = rt0.RT0Element.zero()
+        for word, coeff in expand(x).items():
+            rebuilt = rebuilt + evaluate(word).scale(coeff)
+        return None if rebuilt == x else str(x)
+
+    for kind, (expand, evaluate) in bases.items():
+        report.add(
+            "expand_roundtrip",
+            f"kind={kind} {len(monomials)} monomials, degree<={roundtrip_bound}",
+            tally(round_trip(x, expand, evaluate) for _, x in monomials),
         )
     return report
+
+
+def _super_spaces(
+    dim: int, max_arity: int
+) -> list[tuple[str, superops.SuperSpace, int]]:
+    """(params prefix, space, arity bound) of the super and vowa suites:
+    the mixed spaces up to ``dim``, then the even space of dimension 2."""
+    spaces = [
+        (f"mixed dim={d} arity<={max_arity}", superops.mixed_space(d), max_arity)
+        for d in range(1, dim + 1)
+    ]
+    return spaces + [("even dim=2 arity<=2", superops.even_space(2), 2)]
 
 
 def run_super(bounds: Bounds) -> SuiteReport:
     resolved = bounds.resolved(dim=3, max_arity=3)
     report = SuiteReport("super", bounds.seed, resolved)
-    dim = resolved["dim"]
-    max_arity = resolved["max_arity"]
-    for d in range(1, dim + 1):
-        space = superops.mixed_space(d)
+    for label, space, max_arity in _super_spaces(resolved["dim"], resolved["max_arity"]):
         reports = superops.es_axiom_check(space, max_arity=max_arity)
-        for name, axiom_report in sorted(reports.items()):
-            report.checks.append(
-                CheckResult(
-                    name,
-                    f"mixed dim={d} arity<={max_arity} checked={axiom_report.checked}",
-                    axiom_report.ok,
-                    axiom_report.counterexample,
-                )
-            )
-    even = superops.even_space(2)
-    for name, axiom_report in sorted(
-        superops.es_axiom_check(even, max_arity=2).items()
-    ):
-        report.checks.append(
-            CheckResult(
-                name,
-                f"even dim=2 arity<=2 checked={axiom_report.checked}",
-                axiom_report.ok,
-                axiom_report.counterexample,
-            )
-        )
+        for name, outcome in sorted(reports.items()):
+            report.add(name, f"{label} checked={outcome.checked}", outcome)
     return report
 
 
 def run_vowa(bounds: Bounds) -> SuiteReport:
     resolved = bounds.resolved(dim=3, max_arity=3)
     report = SuiteReport("vowa", bounds.seed, resolved)
-    dim = resolved["dim"]
-    max_arity = resolved["max_arity"]
-    for d in range(1, dim + 1):
-        space = superops.mixed_space(d)
-        ok, checked, witness = superops.vowa_exhaustive(space, max_arity=max_arity)
-        report.checks.append(
-            CheckResult(
-                "pairing_exchange",
-                f"mixed dim={d} arity<={max_arity} checked={checked}",
-                ok,
-                witness,
-            )
-        )
-    ok, checked, witness = superops.vowa_exhaustive(
-        superops.even_space(2), max_arity=2
-    )
-    report.checks.append(
-        CheckResult(
-            "pairing_exchange", f"even dim=2 arity<=2 checked={checked}", ok, witness
-        )
-    )
+    for label, space, max_arity in _super_spaces(resolved["dim"], resolved["max_arity"]):
+        outcome = AxiomReport(*superops.vowa_exhaustive(space, max_arity=max_arity))
+        report.add("pairing_exchange", f"{label} checked={outcome.checked}", outcome)
     return report
-
-
-def _exponent_tuples(slots: int, total: int):
-    if slots == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _exponent_tuples(slots - 1, total - first):
-            yield (first,) + rest
 
 
 def run_important(bounds: Bounds) -> SuiteReport:
     resolved = bounds.resolved(max_degree=6)
     report = SuiteReport("important", bounds.seed, resolved)
+    max_degree = resolved["max_degree"]
     classes = rt0.class_constants()
 
-    for d0 in range(resolved["max_degree"] + 1):
-        ok = True
-        witness = None
-        for d1 in range(1, resolved["max_degree"] - d0 + 1):
-            lhs = rt0.dot_mul(
-                rt0.dot_power(classes.psi0, d0), rt0.dot_power(classes.psi1, d1)
-            )
-            rhs = rt0.dot_mul(
-                rt0.dot_power(classes.psi0, d0 + 1),
-                rt0.dot_power(classes.psi1, d1 - 1),
-            ).scale(-1) + rt0.odot(
-                rt0.dot_power(classes.psi0, d0), rt0.dot_power(classes.psi1, d1 - 1)
-            )
-            if lhs != rhs:
-                ok, witness = False, f"d0={d0} d1={d1}"
-                break
-        report.checks.append(
-            CheckResult(
-                "two_slot_psi_relation",
-                f"d0={d0}, d0+d1<={resolved['max_degree']}",
-                ok,
-                witness,
-            )
+    def two_slot_relation(d0: int, d1: int) -> str | None:
+        lhs = rt0.dot_mul(
+            rt0.dot_power(classes.psi0, d0), rt0.dot_power(classes.psi1, d1)
+        )
+        rhs = rt0.dot_mul(
+            rt0.dot_power(classes.psi0, d0 + 1),
+            rt0.dot_power(classes.psi1, d1 - 1),
+        ).scale(-1) + rt0.odot(
+            rt0.dot_power(classes.psi0, d0), rt0.dot_power(classes.psi1, d1 - 1)
+        )
+        return None if lhs == rhs else f"d0={d0} d1={d1}"
+
+    for d0 in range(max_degree + 1):
+        report.add(
+            "two_slot_psi_relation",
+            f"d0={d0}, d0+d1<={max_degree}",
+            tally(two_slot_relation(d0, d1) for d1 in range(1, max_degree - d0 + 1)),
         )
 
     budget = 3
     for base_name, arities in (("trivial", (2, 3)), ("rank2", (2,))):
         config = base_mod.BUILTIN_BASES[base_name]()
         for n in arities:
-            ok = True
-            witness = None
-            count = 0
-            for total in range(1, budget + 1):
-                for d in _exponent_tuples(n + 1, total):
-                    remaining = budget - sum(d)
-                    for e_total in range(remaining + 1):
-                        for e in _exponent_tuples(n + 1, e_total):
-                            for j in range(1, n + 1):
-                                if d[j] < 1:
-                                    continue
-                                count += 1
-                                if not mtilde.important_b_check(n, d, e, j, config):
-                                    ok, witness = (
-                                        False,
-                                        f"n={n} d={d} e={e} j={j}",
-                                    )
-                                    break
-                            if not ok:
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            report.checks.append(
-                CheckResult(
-                    "psi_to_phi_exchange",
-                    f"base={base_name} n={n} sum(d)+sum(e)<={budget} ({count} instances)",
-                    ok,
-                    witness,
-                )
+
+            def at_most(total: int) -> list[tuple[int, ...]]:
+                # exponents over slots 0..n with sum <= total, the last
+                # part of each composition being the slack
+                return [c[:-1] for c in _exact_compositions(total, n + 2)]
+
+            # psi exponents d and phi exponents e with d[j] >= 1; a pair
+            # recurs once for every total that admits it
+            cases = [
+                (d, e, j)
+                for total in range(1, budget + 1)
+                for d in at_most(total)
+                for e_total in range(budget - sum(d) + 1)
+                for e in at_most(e_total)
+                for j in range(1, n + 1)
+                if d[j] >= 1
+            ]
+            report.add(
+                "psi_to_phi_exchange",
+                f"base={base_name} n={n} sum(d)+sum(e)<={budget} ({len(cases)} instances)",
+                tally(
+                    None
+                    if mtilde.important_b_check(n, d, e, j, config)
+                    else f"n={n} d={d} e={e} j={j}"
+                    for d, e, j in cases
+                ),
             )
     return report
 
@@ -760,15 +677,12 @@ def run_operad_axioms(bounds: Bounds) -> SuiteReport:
         max_arity=resolved["max_arity"],
         max_degree=resolved["max_degree"],
     )
-    for name, axiom_report in sorted(reports.items()):
-        report.checks.append(
-            CheckResult(
-                name,
-                f"base={config.name} arity<={resolved['max_arity']} "
-                f"slot-degree<={resolved['max_degree']} checked={axiom_report.checked}",
-                axiom_report.ok,
-                axiom_report.counterexample,
-            )
+    for name, outcome in sorted(reports.items()):
+        report.add(
+            name,
+            f"base={config.name} arity<={resolved['max_arity']} "
+            f"slot-degree<={resolved['max_degree']} checked={outcome.checked}",
+            outcome,
         )
     return report
 

@@ -148,3 +148,12 @@ def test_verify_with_config_file(capsys, tmp_path):
     )
     assert code == 0
     assert "axiom4" in out
+
+
+def test_non_canonical_variable_names_rejected(capsys):
+    for text in ("t01", "t007", "t1*t02"):
+        code, out, err = run_cli(capsys, "eval", text)
+        assert code == 2 and out == ""
+        assert "unknown variable" in err
+    code, out, _ = run_cli(capsys, "eval", "t0")
+    assert (code, out) == (0, "t0\n")

@@ -169,6 +169,14 @@ def test_parse_errors():
         assert err.position == 5
 
 
+def test_variable_names_must_be_canonical():
+    for text in ("t01", "t007", "t00", "t1*t02"):
+        with pytest.raises(ParseError, match="unknown variable"):
+            P(text)
+    assert P("t10") == Polynomial.variable(10)
+    assert P("t0") == Polynomial.variable(0)
+
+
 def test_canonical_order():
     # ascending degree, then lexicographically largest first with t0 heaviest
     assert str(P("t1^2 + t0*t1 + t1*t2")) == "t0*t1 + t1^2 + t1*t2"

@@ -3,7 +3,9 @@ a failing run prints when one kernel is broken on purpose."""
 
 from pathlib import Path
 
-from tring import cli, mtilde, rt0, superops
+import pytest
+
+from tring import cli, mtilde, rt0, superops, verify
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all_small.json"
 SMALL_BOUNDS = ("--max-degree", "2", "--max-n", "3", "--max-arity", "2", "--dim", "2")
@@ -34,7 +36,7 @@ def test_broken_odot_fails_odot_suite(capsys, monkeypatch):
         "FAIL degree_raising all pairs, total degree<=2  [x=1 y=t0]",
         "FAIL concatenation_consistency 20 seeded pairs, t0-free right factor"
         "  [f=t0^2 g=t1^2*t2^2]",
-        "FAIL unit_insertion_leading_term 2 monomials, degree<=5  [t0]",
+        "FAIL unit_insertion_leading_term 63 monomials, degree<=5  [t0]",
     ]
     assert out.endswith("suite=odot passed=2 failed=4 total=6 seed=0\n")
 
@@ -78,10 +80,68 @@ def test_doubled_slot_insertion_fails_mtilde_suites(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "important", "--max-degree", "2")
     assert code == 1
     assert fail_lines(out) == [
-        "FAIL psi_to_phi_exchange base=trivial n=2 sum(d)+sum(e)<=3 (1 instances)"
+        "FAIL psi_to_phi_exchange base=trivial n=2 sum(d)+sum(e)<=3 (162 instances)"
         "  [n=2 d=(0, 0, 1) e=(0, 0, 0) j=2]",
-        "FAIL psi_to_phi_exchange base=trivial n=3 sum(d)+sum(e)<=3 (1 instances)"
+        "FAIL psi_to_phi_exchange base=trivial n=3 sum(d)+sum(e)<=3 (363 instances)"
         "  [n=3 d=(0, 0, 0, 1) e=(0, 0, 0, 0) j=3]",
-        "FAIL psi_to_phi_exchange base=rank2 n=2 sum(d)+sum(e)<=3 (1 instances)"
+        "FAIL psi_to_phi_exchange base=rank2 n=2 sum(d)+sum(e)<=3 (162 instances)"
         "  [n=2 d=(0, 0, 1) e=(0, 0, 0) j=2]",
     ]
+
+
+def test_first_failing_case_is_reported(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "enumerate_increasing_maps", lambda n, d: [])
+    code, out = run_cli(capsys, "verify", "ring")
+    assert code == 1
+    assert fail_lines(out) == ["FAIL increasing_map_counts n<=4 d<=6  [n=0 d=0]"]
+
+
+def test_failing_check_keeps_later_draws(monkeypatch):
+    def families(broken: bool) -> list:
+        drawn = []
+        draw = verify._random_relement
+
+        def recording(rng):
+            drawn.append(draw(rng))
+            return drawn[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_random_relement", recording)
+            if broken:
+                patch.setattr(verify, "parse_polynomial", lambda text: verify.Polynomial.zero())
+            report = verify.run_suite("ring", verify.Bounds(seed=3))
+        failed = [c.id for c in report.checks if not c.passed]
+        assert failed == (["parse_print_roundtrip"] if broken else [])
+        return [f.to_pairs() for f in drawn]
+
+    assert families(broken=True) == families(broken=False)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identity", "--seed", "-5", "--json"], "seed must be >= 0, got -5"),
+        (["dim", "--max-degree", "-3"], "max-degree must be >= 0, got -3"),
+        (["odot", "--max-n", "-1"], "max-n must be >= 0, got -1"),
+        (["operad-axioms", "--max-arity", "0"], "max-arity must be >= 1, got 0"),
+        (["super", "--dim", "7"], "dim must be in 1..6, got 7"),
+        (["vowa", "--dim", "0"], "dim must be in 1..6, got 0"),
+    ],
+)
+def test_invalid_bounds_exit_2_before_any_suite_runs(capsys, monkeypatch, argv, message):
+    def never(bounds):
+        raise AssertionError("a suite ran")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, never)
+    code = cli.main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_lowest_and_benchmark_bounds_stay_valid():
+    verify.Bounds(max_degree=0, max_n=0, max_arity=1, dim=1, seed=0)
+    verify.Bounds(max_degree=2, dim=6)
+    verify.Bounds(max_degree=1)
