@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from tring.base import DegreeMismatchError, rank2_base, trivial_base
 from tring.poly import Polynomial, parse_polynomial
-from tring.ring import RElement, decode_components, project_components
+from tring.ring import (
+    RElement,
+    decode_components,
+    decode_rd,
+    project_components,
+    project_to_level,
+    r_mul,
+)
 from tring.rt0 import (
     ConsistencyError,
     InvalidElementError,
@@ -114,15 +121,6 @@ def test_iota_t0_squared_t1():
     assert iota(E("t0^2*t1")) == frozen
 
 
-def test_iota_matches_truncation_model():
-    rng = random.Random(5)
-    for _ in range(15):
-        x = _random_element(rng)
-        if x.is_zero():
-            continue
-        assert iota(x) == iota_via_truncation(x)
-
-
 def test_iota_involution_and_hom():
     for text in ("t0", "t1", "t0*t1", "t1*t2", "t0^2", "t0^2*t1"):
         x = E(text)
@@ -221,6 +219,38 @@ _sums_of_monomials = st.dictionaries(
     min_size=1,
     max_size=4,
 ).map(lambda terms: RT0Element.from_polynomial(Polynomial(terms)))
+
+
+_t0_free_sums = st.dictionaries(
+    st.sampled_from([m for m in _MONOMIALS_UP_TO_3 if not (m and m[0][0] == 0)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: RElement(RT0Element.from_polynomial(Polynomial(terms)).components))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sums_of_monomials, _sums_of_monomials)
+def test_dot_matches_projection(x, y):
+    # differential: the product kernel against the level-d projection,
+    # which is a ring homomorphism, decoded back at d = deg x + deg y
+    d = x.degree() + y.degree()
+    value = project_components(x.components, d) * project_components(y.components, d)
+    assert dot_mul(x, y) == RT0Element._raw(decode_components(value, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_t0_free_sums, _t0_free_sums)
+def test_r_mul_matches_projection(f, g):
+    d = f.degree() + g.degree()
+    value = project_to_level(f, d).value * project_to_level(g, d).value
+    assert r_mul(f, g) == decode_rd(value, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sums_of_monomials)
+def test_iota_matches_truncation_model(x):
+    assert iota(x) == iota_via_truncation(x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -362,10 +392,3 @@ def _random_monomial(rng) -> RT0Element:
     if a0:
         exps[0] = a0
     return RT0Element.from_polynomial(Polynomial.monomial(exps))
-
-
-def _random_element(rng) -> RT0Element:
-    out = RT0Element.zero()
-    for _ in range(rng.randint(1, 3)):
-        out = out + _random_monomial(rng).scale(rng.randint(-3, 3))
-    return out
