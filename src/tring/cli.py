@@ -3,7 +3,9 @@
 Expression commands print one canonical line to stdout; the verify
 command prints a verdict report (text or JSON).  Exit codes: 0 on
 success, 1 when a verification suite found a failing identity, 2 for
-usage, parse, or validation errors.
+usage, parse, or validation errors, and 3 for an internal error (two
+computation paths disagree, which means a bug), reported as one
+``internal error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .base import ConfigError
 from .poly import ParseError
 from .ring import NotInRingError
 from .rt0 import (
+    ConsistencyError,
     InvalidElementError,
     RT0Element,
     dot_mul,
@@ -95,7 +98,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
         rebuilt = rebuilt + evaluate(word).scale(coeff)
     if rebuilt != x:
         print("internal error: expansion does not re-evaluate to the input", file=sys.stderr)
-        return 1
+        return 3
     if not expansion:
         print("0")
         return 0
@@ -185,6 +188,9 @@ def main(argv: list[str] | None = None) -> int:
     except USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except ConsistencyError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

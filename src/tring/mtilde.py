@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .base import AlgebraElement, BaseOperadConfig, ConfigError
 from .poly import Mono, Polynomial, positive_support
-from .ring import RElement, multiply_components
+from .ring import RElement, _join_mono, _split_mono, quasi_shuffle
 from .rt0 import (
     RT0Element,
     class_constants,
@@ -197,13 +197,10 @@ def _relement_monos(relt: RElement) -> Iterable[tuple[Mono, Fraction]]:
         yield from p.terms.items()
 
 
-def _mono_r_mul(a: Mono, b: Mono) -> list[tuple[Mono, Fraction]]:
-    ka = len(positive_support(a))
-    kb = len(positive_support(b))
-    product = multiply_components(
-        {ka: Polynomial({a: 1})}, {kb: Polynomial({b: 1})}
-    )
-    return [(m, c) for p in product.values() for m, c in p.terms.items()]
+def _mono_r_mul(a: Mono, b: Mono, memo: dict) -> list[tuple[Mono, int]]:
+    """Family product of two slot monomials, on their keys."""
+    (ea, u), (eb, v) = _split_mono(a), _split_mono(b)
+    return [(_join_mono(ea + eb, w), m) for w, m in quasi_shuffle(u, v, memo).items()]
 
 
 def mt_mul(
@@ -216,6 +213,7 @@ def mt_mul(
         return MTildeElement.from_rt0(dot_mul(x.rt0, y.rt0))
     algebra = base.algebra(x.arity)
     out: dict[MTKey, Fraction] = {}
+    memo: dict = {}
     for (name_x, monos_x), cx in x.terms.items():
         for (name_y, monos_y), cy in y.terms.items():
             base_part = algebra.mul({name_x: Fraction(1)}, {name_y: Fraction(1)})
@@ -224,7 +222,7 @@ def mt_mul(
             expansions: list[tuple[tuple[Mono, ...], Fraction]] = [((), cx * cy)]
             for slot in range(x.arity + 1):
                 grown: list[tuple[tuple[Mono, ...], Fraction]] = []
-                for mono, c in _mono_r_mul(monos_x[slot], monos_y[slot]):
+                for mono, c in _mono_r_mul(monos_x[slot], monos_y[slot], memo):
                     for monos_acc, coeff_acc in expansions:
                         grown.append((monos_acc + (mono,), coeff_acc * c))
                 expansions = grown

@@ -449,10 +449,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# parentheses and unary minus nest at most this deep; each level costs a
+# few Python frames, so the parser stays far below the recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -515,12 +521,17 @@ class _Parser:
 
     def atom(self) -> Polynomial:
         kind, value, where = self.next()
-        if kind == "op" and value == "(":
-            p = self.expr()
-            self.expect_op(")")
+        if kind == "op" and value in ("(", "-"):
+            if self.depth == MAX_NESTING:
+                raise ParseError("expression nested too deeply", where)
+            self.depth += 1
+            if value == "(":
+                p = self.expr()
+                self.expect_op(")")
+            else:
+                p = -self.atom()
+            self.depth -= 1
             return p
-        if kind == "op" and value == "-":
-            return -self.atom()
         if kind == "int":
             numerator = int(value)
             kind, value, _ = self.peek()

@@ -1,25 +1,29 @@
 """The graded ring of truncation-compatible polynomial families.
 
 An element is a finite family (f_n) with f_n in the ideal
-I_n = (t1*...*tn) * Q[t1,...,tn].  Multiplication merges two families by
-summing over all pairs of strictly increasing maps whose images jointly
-cover the target interval; projecting a family to a finite level d turns
-it into an ordinary polynomial in Q[t1,...,td], and that projection is a
+I_n = (t1*...*tn) * Q[t1,...,tn].  Multiplication is defined by summing
+over all pairs of strictly increasing maps whose images jointly cover
+the target interval; projecting a family to a finite level d turns it
+into an ordinary polynomial in Q[t1,...,td], and that projection is a
 ring homomorphism onto the level-d truncation ring.
 
-The kernel functions here are agnostic to the distinguished variable t0:
-t0 is fixed by all increasing-map operations, so the same machinery
-serves the t0-extended elements defined in :mod:`tring.rt0`.
+The product is computed on monomial keys: t0^a * t1^u1 * ... * tn^un is
+keyed by (a, u), where u is a composition, and the covering-pair sum of
+two monomials is the quasi-shuffle of their compositions (Hoffman,
+"Quasi-shuffle products", 2000) with the t0 powers added.  The ring
+suite checks it against the covering-pair definition through the
+projection homomorphism and decode.
+
+t0 is fixed by all increasing-map operations, so the same kernel serves
+the t0-extended elements defined in :mod:`tring.rt0`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .poly import (
-    IncreasingMap,
     Mono,
     Polynomial,
     ScalarLike,
@@ -79,52 +83,83 @@ def scale_components(a: Components, c: ScalarLike) -> Components:
     return {n: p.scale(c) for n, p in a.items()}
 
 
-def covering_pairs(n: int, m: int, k: int) -> Iterable[tuple[IncreasingMap, IncreasingMap]]:
-    """All pairs (alpha, beta) of increasing maps [1,n],[1,m] -> [1,k]
-    whose images jointly cover [1,k]."""
-    if k < max(n, m) or k > n + m:
-        return
-    universe = range(1, k + 1)
-    for alpha_vals in combinations(universe, n):
-        alpha_img = set(alpha_vals)
-        forced = [v for v in universe if v not in alpha_img]
-        extra = m - len(forced)
-        if extra < 0:
-            continue
-        alpha = IncreasingMap(alpha_vals, k)
-        for chosen in combinations(alpha_vals, extra):
-            beta_vals = tuple(sorted(forced + list(chosen)))
-            yield alpha, IncreasingMap(beta_vals, k)
+# ---------------------------------------------------------------------------
+# Monomial keys and the product kernel
+# ---------------------------------------------------------------------------
+
+Word = tuple[int, ...]
+Key = tuple[int, Word]
+
+
+def _split_mono(mono: Mono) -> Key:
+    """Key t0^a * t1^u1 * ... * tn^un by (a, u); u is a composition."""
+    if mono and mono[0][0] == 0:
+        return mono[0][1], tuple(exp for _, exp in mono[1:])
+    return 0, tuple(exp for _, exp in mono)
+
+
+def _join_mono(a: int, word: Word) -> Mono:
+    head = ((0, a),) if a else ()
+    return head + tuple(enumerate(word, start=1))
+
+
+def split_components(x: Components) -> list[tuple[Key, Fraction]]:
+    """The terms of a family as (key, coefficient) pairs."""
+    return [(_split_mono(m), c) for p in x.values() for m, c in p.terms.items()]
+
+
+def join_components(terms: Mapping[Key, ScalarLike]) -> Components:
+    """Group keyed terms into family components; zero terms drop out."""
+    grouped: dict[int, dict[Mono, ScalarLike]] = {}
+    for (a, word), c in terms.items():
+        if c:
+            grouped.setdefault(len(word), {})[_join_mono(a, word)] = c
+    return {n: Polynomial(t) for n, t in grouped.items()}
+
+
+def quasi_shuffle(u: Word, v: Word, memo: dict) -> dict[Word, int]:
+    """The quasi-shuffle u * v as a word -> multiplicity map:
+    (x.u') * (y.v') = x.(u' * y.v') + y.(x.u' * v') + (x+y).(u' * v').
+
+    It is the covering-pair product of the t0-free monomials keyed by u
+    and v: a target variable is hit by the left map, the right map or
+    both.  ``memo`` holds the sub-products; pass one dict per product
+    call so that nothing outlives it.
+    """
+    if not u or not v:
+        return {u or v: 1}
+    cached = memo.get((u, v))
+    if cached is not None:
+        return cached
+    out: dict[Word, int] = {}
+    for head, tail in (
+        (u[0], quasi_shuffle(u[1:], v, memo)),
+        (v[0], quasi_shuffle(u, v[1:], memo)),
+        (u[0] + v[0], quasi_shuffle(u[1:], v[1:], memo)),
+    ):
+        for w, mult in tail.items():
+            w = (head,) + w
+            out[w] = out.get(w, 0) + mult
+    memo[(u, v)] = out
+    return out
 
 
 def multiply_components(x: Components, y: Components) -> Components:
-    """Covering-pair product of two families.
+    """The family product on keys: (a, u) . (b, v) = (a + b, u * v).
 
-    h_k = sum over (alpha, beta) covering [1,k] of alpha_*(x_n) * beta_*(y_m).
-    The maps fix t0, so components carrying t0 powers multiply correctly.
+    t0 is fixed by every increasing map, so its powers add, and the
+    interval parts multiply by the quasi-shuffle (see quasi_shuffle).
     """
-    out: Components = {}
-    pushed: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
-
-    def push(side: int, comp: Polynomial, alpha: IncreasingMap) -> Polynomial:
-        key = (side, alpha.values)
-        cached = pushed.get(key)
-        if cached is None:
-            cached = pushforward(alpha, comp)
-            pushed[key] = cached
-        return cached
-
-    for n, xn in x.items():
-        for m, ym in y.items():
-            for k in range(max(n, m), n + m + 1):
-                acc = out.get(k, Polynomial.zero())
-                for alpha, beta in covering_pairs(n, m, k):
-                    acc = acc + push(id(xn), xn, alpha) * push(id(ym), ym, beta)
-                if acc:
-                    out[k] = acc
-                elif k in out:
-                    del out[k]
-    return out
+    memo: dict = {}
+    right = split_components(y)
+    acc: dict[Key, Fraction] = {}
+    for (a, u), cx in split_components(x):
+        for (b, v), cy in right:
+            c = cx * cy
+            for w, mult in quasi_shuffle(u, v, memo).items():
+                key = (a + b, w)
+                acc[key] = acc.get(key, 0) + c * mult
+    return join_components(acc)
 
 
 def project_components(x: Components, d: int) -> Polynomial:
@@ -237,7 +272,7 @@ class RElement:
 
 
 def r_mul(f: RElement, g: RElement) -> RElement:
-    """Product of two families via the covering-pair sum."""
+    """Product of two families (see multiply_components)."""
     return RElement._raw(multiply_components(f.components, g.components))
 
 

@@ -2,18 +2,18 @@
 
 Elements are finite families (f_n) with f_n in I_n[t0]: each term of f_n
 carries positive exponents on exactly t1, ..., tn plus an arbitrary t0
-power.  Three structures live here:
+power.  Every structure here is computed on the monomial keys (a, u) of
+t0^a * t1^u1 * ... * tn^un, where u is a composition, with the one
+product kernel of :mod:`tring.ring`, the quasi-shuffle of compositions
+(Hoffman, "Quasi-shuffle products", 2000):
 
-* the commutative "dot" product, extending the covering-pair product
-  with t0 as a free scalar variable;
+* the commutative "dot" product, the covering-pair product with t0 as a
+  free scalar variable: (a, u) . (b, v) = (a + b, u * v);
 * the involution iota, determined by t0 -> -(t0+t1) together with
   reversal of the interval variables on each component;
 * the non-commutative, degree-raising "odot" product.  Its level-k
-  truncations q_k define it; it is computed in closed form on the
-  monomial keys (a, u) of t0^a * t1^u1 * ... * tn^un, where u is a
-  composition and the covering-pair product is the quasi-shuffle of
-  compositions (Hoffman, "Quasi-shuffle products", 2000).  The
-  verification suite checks the closed form against the decoded
+  truncations q_k define it; it is computed in closed form on the keys,
+  and the verification suite checks the closed form against the decoded
   truncations.
 
 Monomials t0^a0 * t1^a1 * ... * tn^an (a_i >= 1) form a vector-space
@@ -43,13 +43,19 @@ from .poly import (
 )
 from .ring import (
     Components,
+    Key,
     RElement,
+    Word,
     _check_component_t0,
+    _join_mono,
     add_components,
+    join_components,
     multiply_components,
     normalize_components,
     project_components,
+    quasi_shuffle,
     scale_components,
+    split_components,
 )
 
 
@@ -176,21 +182,12 @@ class RT0Element:
 
     def t0_coefficients(self) -> dict[int, RElement]:
         """Write the element as sum_a t0^a * h_a with t0-free h_a."""
-        split: dict[int, Components] = {}
-        for n, p in self.components.items():
-            for mono, coeff in p.terms.items():
-                a0 = 0
-                rest = mono
-                if mono and mono[0][0] == 0:
-                    a0 = mono[0][1]
-                    rest = mono[1:]
-                comp = split.setdefault(a0, {})
-                comp[n] = comp.get(n, Polynomial.zero()) + Polynomial(
-                    {rest: coeff}
-                )
+        split: dict[int, dict[Key, Fraction]] = {}
+        for (a, u), coeff in split_components(self.components):
+            split.setdefault(a, {})[0, u] = coeff
         return {
-            a0: RElement._raw(normalize_components(comps))
-            for a0, comps in sorted(split.items())
+            a: RElement._raw(join_components(terms))
+            for a, terms in sorted(split.items())
         }
 
     # -- linear structure ---------------------------------------------------
@@ -229,8 +226,8 @@ class RT0Element:
 
 
 def dot_mul(x: RT0Element, y: RT0Element) -> RT0Element:
-    """Commutative product; t0 powers add, interval parts merge over
-    covering pairs of increasing maps."""
+    """Commutative product; t0 powers add, interval parts quasi-shuffle
+    (the covering-pair product, see ring.multiply_components)."""
     return RT0Element._raw(multiply_components(x.components, y.components))
 
 
@@ -243,40 +240,43 @@ def dot_power(x: RT0Element, exp: int) -> RT0Element:
     return out
 
 
-@lru_cache(maxsize=None)
-def _neg_t0_t1_power(exp: int) -> RT0Element:
-    return dot_power(RT0Element.from_text("-t0-t1"), exp)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _psi1_power(exp: int) -> RT0Element:
     return dot_power(RT0Element.from_text("t0+t1"), exp)
+
+
+def _fold_one(words: Mapping[Word, int], memo: dict) -> dict[Word, int]:
+    """The quasi-shuffle of a word combination with the word (1): one
+    more dot factor t1."""
+    out: dict[Word, int] = {}
+    for w, mult in words.items():
+        for v, m in quasi_shuffle(w, (1,), memo).items():
+            out[v] = out.get(v, 0) + mult * m
+    return out
 
 
 def iota(x: RT0Element) -> RT0Element:
     """The involution: t0 -> -(t0+t1) as a dot-power, interval variables
     reversed on each component.
 
-    It is a ring homomorphism for the dot product and an
-    anti-homomorphism for odot; applying it twice gives the identity.
+    On keys, (a, u) maps to (-1)^a sum_i C(a, i) (i, rev(u) * (1)^{*(a-i)}):
+    the dot power (-(t0+t1))^a expands binomially, and t1^(a-i) is the
+    quasi-shuffle power of the word (1).  It is a ring homomorphism for
+    the dot product and an anti-homomorphism for odot; applying it twice
+    gives the identity.
     """
-    out = RT0Element.zero()
-    for n, p in x.components.items():
-        reversal = {i: n - i + 1 for i in range(1, n + 1)}
-        by_t0: dict[int, dict[Mono, Fraction]] = {}
-        for mono, coeff in p.terms.items():
-            a0 = 0
-            rest = mono
-            if mono and mono[0][0] == 0:
-                a0 = mono[0][1]
-                rest = mono[1:]
-            by_t0.setdefault(a0, {})[rest] = coeff
-        for a0, terms in by_t0.items():
-            reversed_part = RT0Element._raw(
-                {n: Polynomial(terms).rename(reversal)}
-            )
-            out = out + dot_mul(_neg_t0_t1_power(a0), reversed_part)
-    return out
+    memo: dict = {}
+    acc: dict[Key, Fraction] = {}
+    for (a, u), coeff in split_components(x.components):
+        signed = -coeff if a % 2 else coeff
+        words = {u[::-1]: 1}
+        for c in range(a + 1):  # c = a - i factors (1)
+            if c:
+                words = _fold_one(words, memo)
+            weight = signed * comb(a, c)
+            for w, mult in words.items():
+                acc[a - c, w] = acc.get((a - c, w), 0) + weight * mult
+    return RT0Element._raw(join_components(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -333,63 +333,33 @@ def _concatenation(x: RT0Element, y: RT0Element) -> RT0Element:
 # The odot product in closed form
 # ---------------------------------------------------------------------------
 
-Word = tuple[int, ...]
-
-
-def _split_mono(mono: Mono) -> tuple[int, Word]:
-    """Key t0^a * t1^u1 * ... * tn^un by (a, u); u is a composition."""
-    if mono and mono[0][0] == 0:
-        return mono[0][1], tuple(exp for _, exp in mono[1:])
-    return 0, tuple(exp for _, exp in mono)
-
-
-def _join_mono(a: int, word: Word) -> Mono:
-    head = ((0, a),) if a else ()
-    return head + tuple(enumerate(word, start=1))
-
 
 @lru_cache(maxsize=4096)
 def _stuffle_ones(word: Word, c: int) -> tuple[tuple[Word, int], ...]:
-    """The quasi-shuffle word * (1)^{*c}, as (word, multiplicity) pairs.
-
-    This is the covering-pair product of the monomial keyed by word with
-    the c-th dot power of t1: each factor (1) either lands as a new
-    letter 1 in one of the gaps of the word or adds 1 to one of its
-    letters.
-    """
+    """The quasi-shuffle word * (1)^{*c}, as (word, multiplicity) pairs:
+    the product of the monomial keyed by word with the c-th dot power of
+    t1, folded one factor (1) at a time."""
     if c == 0:
         return ((word, 1),)
-    out: dict[Word, int] = {}
-    for w, mult in _stuffle_ones(word, c - 1):
-        for i in range(len(w) + 1):
-            key = w[:i] + (1,) + w[i:]
-            out[key] = out.get(key, 0) + mult
-        for i in range(len(w)):
-            key = w[:i] + (w[i] + 1,) + w[i + 1 :]
-            out[key] = out.get(key, 0) + mult
-    return tuple(out.items())
+    return tuple(_fold_one(dict(_stuffle_ones(word, c - 1)), {}).items())
 
 
-def _odot_monomials(
-    a: int, u: Word, b: int, v: Word
-) -> dict[tuple[int, Mono], int]:
+def _odot_monomials(a: int, u: Word, b: int, v: Word) -> dict[Key, int]:
     """(a, u) odot (b, v) = sum over c0 + c1 + c2 = b of the multinomial
     b!/(c0! c1! c2!) times (a + c0, w . (1 + c2) . v), for the words w of
     u * (1)^{*c1} with multiplicity; '.' is concatenation.
 
     The right factor's t0^b becomes (t0 + t1 + ... + tj)^b at the
     separator t_j: t0^c0 stays t0, (t1 + ... + t_{j-1})^c1 multiplies the
-    left factor, and t_j^c2 raises the separator.  Keys are (number of
-    interval variables, monomial)."""
-    out: dict[tuple[int, Mono], int] = {}
+    left factor, and t_j^c2 raises the separator."""
+    out: dict[Key, int] = {}
     for c0 in range(b + 1):
         for c1 in range(b - c0 + 1):
             c2 = b - c0 - c1
             weight = comb(b, c0) * comb(b - c0, c1)
             tail = (1 + c2,) + v
             for w, mult in _stuffle_ones(u, c1):
-                word = w + tail
-                key = (len(word), _join_mono(a + c0, word))
+                key = (a + c0, w + tail)
                 out[key] = out.get(key, 0) + weight * mult
     return out
 
@@ -405,23 +375,14 @@ def odot(x: RT0Element, y: RT0Element) -> RT0Element:
     """
     if x.is_zero() or y.is_zero():
         return RT0Element.zero()
-    right = [
-        (_split_mono(mono), coeff)
-        for p in y.components.values()
-        for mono, coeff in p.terms.items()
-    ]
-    acc: dict[int, dict[Mono, Fraction]] = {}
-    for p in x.components.values():
-        for mono_x, cx in p.terms.items():
-            a, u = _split_mono(mono_x)
-            for (b, v), cy in right:
-                c = cx * cy
-                for (n, mono), mult in _odot_monomials(a, u, b, v).items():
-                    terms = acc.setdefault(n, {})
-                    terms[mono] = terms.get(mono, 0) + c * mult
-    result = RT0Element._raw(
-        normalize_components({n: Polynomial(terms) for n, terms in acc.items()})
-    )
+    right = split_components(y.components)
+    acc: dict[Key, Fraction] = {}
+    for (a, u), cx in split_components(x.components):
+        for (b, v), cy in right:
+            c = cx * cy
+            for key, mult in _odot_monomials(a, u, b, v).items():
+                acc[key] = acc.get(key, 0) + c * mult
+    result = RT0Element._raw(join_components(acc))
     if y.t0_free():
         direct = _concatenation(x, y)
         if direct != result:
@@ -438,31 +399,15 @@ def odot(x: RT0Element, y: RT0Element) -> RT0Element:
 
 def monomials_of_degree(n: int) -> list[Mono]:
     """All valid monomials t0^a0 * t1^a1 ... tk^ak (a_i >= 1) of degree n,
-    in the canonical print order.  There are exactly 2^n of them."""
-    out: list[Mono] = []
-    for k in range(n + 1):
-        for weights in _compositions(n - k, k):
-            exps = {0: n - k - sum(weights)} if n - k - sum(weights) else {}
-            # distribute: t_i gets 1 + weights[i-1]; remaining degree on t0
-            for i in range(1, k + 1):
-                exps[i] = 1 + weights[i - 1]
-            total = sum(exps.values())
-            if total != n:
-                continue
-            out.append(tuple(sorted(exps.items())))
-    unique = sorted(set(out), key=_grlex_key)
-    return unique
-
-
-def _compositions(budget: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """All ways to distribute a surplus budget over the given number of
-    parts, including keeping some of it back (the rest lands on t0)."""
-    if parts == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _compositions(budget - first, parts - 1):
-            yield (first,) + rest
+    in the canonical print order.  There are exactly 2^n of them: one
+    key (a, u) for each t0 power a and composition u of n - a."""
+    monos = [_join_mono(n, ())]
+    for a in range(n):
+        rest = n - a
+        for k in range(1, rest + 1):
+            for parts in _exact_compositions(rest - k, k):
+                monos.append(_join_mono(a, tuple(p + 1 for p in parts)))
+    return sorted(monos, key=_grlex_key)
 
 
 def _grlex_key(mono: Mono) -> tuple:
@@ -494,7 +439,8 @@ def _exact_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+# 512 entries hold every word of degree <= 8 (2^0 + ... + 2^8 of them)
+@lru_cache(maxsize=512)
 def evaluate_structure_word(word: tuple[int, ...]) -> RT0Element:
     """Left-fold of odot over the factors t0^a_i."""
     if not word:
@@ -504,7 +450,7 @@ def evaluate_structure_word(word: tuple[int, ...]) -> RT0Element:
     return odot(evaluate_structure_word(word[:-1]), RT0Element.t0_power(word[-1]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def evaluate_involution_word(word: tuple[int, ...]) -> RT0Element:
     """Left-fold of odot over the factors (t0+t1)^a_i (dot powers)."""
     if not word:
@@ -520,7 +466,8 @@ _WORD_EVALUATORS = {
 }
 
 
-@lru_cache(maxsize=None)
+# one 2^n x 2^n matrix per (degree, kind): degrees 0..7 of both kinds
+@lru_cache(maxsize=16)
 def _basis_matrix(n: int, kind: str) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[int, ...], ...], tuple[Mono, ...]]:
     words = tuple(structure_words(n))
     monos = tuple(monomials_of_degree(n))

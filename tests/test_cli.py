@@ -3,7 +3,8 @@ import json
 import jsonschema
 import pytest
 
-from tring import cli
+from tring import cli, rt0
+from tring.poly import MAX_NESTING
 from tring.verify import REPORT_SCHEMA, Bounds, CheckResult, SuiteReport
 
 
@@ -157,3 +158,34 @@ def test_non_canonical_variable_names_rejected(capsys):
         assert "unknown variable" in err
     code, out, _ = run_cli(capsys, "eval", "t0")
     assert (code, out) == (0, "t0\n")
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    # 3,000 levels used to overflow the stack with an uncaught RecursionError
+    for argv in (
+        ["eval", "(" * 3000 + "t1" + ")" * 3000],
+        ["eval", "--", "-" * 3000 + "t1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: expression nested too deeply")
+        assert err.count("\n") == 1
+    nested = "(" * MAX_NESTING + "t1" + ")" * MAX_NESTING
+    assert run_cli(capsys, "eval", nested) == (0, "t1\n", "")
+
+
+def test_consistency_error_exit_code(capsys, monkeypatch):
+    # a disagreeing cross-check is an internal error, not a failed identity
+    monkeypatch.setattr(rt0, "_concatenation", lambda x, y: rt0.RT0Element.zero())
+    code, out, err = run_cli(capsys, "odot", "1", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "internal error: odot closed form disagrees with the concatenation form\n"
+    )
+
+
+def test_basis_reevaluation_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "evaluate_structure_word", lambda word: rt0.RT0Element.zero())
+    code, out, err = run_cli(capsys, "basis", "t1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: expansion does not re-evaluate to the input\n"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tring.base import DegreeMismatchError, rank2_base, trivial_base
-from tring.poly import Polynomial, parse_polynomial
+from tring.poly import Polynomial, mono_degree, parse_polynomial, positive_support
 from tring.ring import (
     RElement,
     decode_components,
@@ -16,6 +16,7 @@ from tring.ring import (
     r_mul,
 )
 from tring.rt0 import (
+    _grlex_key,
     ConsistencyError,
     InvalidElementError,
     RT0Element,
@@ -273,10 +274,16 @@ def test_iota_odot_antihomomorphism():
 
 
 def test_monomial_counts():
-    for n in range(0, 8):
+    for n in range(0, 9):
         monos = monomials_of_degree(n)
         assert len(monos) == 2**n
         assert len(set(monos)) == len(monos)
+        for mono in monos:
+            assert mono_degree(mono) == n
+            assert all(exp >= 1 for _, exp in mono)
+            support = positive_support(mono)
+            assert support == frozenset(range(1, len(support) + 1))
+        assert monos == sorted(monos, key=_grlex_key)
 
 
 def test_structure_words_count():
