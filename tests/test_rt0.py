@@ -214,20 +214,21 @@ def test_unit_insertion_identity_small():
 
 _MONOMIALS_UP_TO_3 = [m for n in range(4) for m in monomials_of_degree(n)]
 
-_sums_of_monomials = st.dictionaries(
-    st.sampled_from(_MONOMIALS_UP_TO_3),
-    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
-    min_size=1,
-    max_size=4,
-).map(lambda terms: RT0Element.from_polynomial(Polynomial(terms)))
+
+def _sums(monomials):
+    # sums of up to 4 of the given monomials with signed fractional coefficients
+    return st.dictionaries(
+        st.sampled_from(monomials),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+        min_size=1,
+        max_size=4,
+    ).map(lambda terms: RT0Element.from_polynomial(Polynomial(terms)))
 
 
-_t0_free_sums = st.dictionaries(
-    st.sampled_from([m for m in _MONOMIALS_UP_TO_3 if not (m and m[0][0] == 0)]),
-    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
-    min_size=1,
-    max_size=4,
-).map(lambda terms: RElement(RT0Element.from_polynomial(Polynomial(terms)).components))
+_sums_of_monomials = _sums(_MONOMIALS_UP_TO_3)
+_t0_free_sums = _sums(
+    [m for m in _MONOMIALS_UP_TO_3 if not (m and m[0][0] == 0)]
+).map(lambda x: RElement(x.components))
 
 
 @settings(max_examples=40, deadline=None)
