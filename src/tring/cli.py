@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from typing import NoReturn
 
-from .base import ConfigError
-from .poly import ParseError
-from .ring import NotInRingError
 from .rt0 import (
     ConsistencyError,
-    InvalidElementError,
     RT0Element,
     dot_mul,
     evaluate_involution_word,
@@ -31,18 +29,40 @@ from .rt0 import (
 )
 from .verify import SUITES, Bounds, run_suite
 
-USAGE_ERRORS = (
-    ParseError,
-    InvalidElementError,
-    NotInRingError,
-    ConfigError,
-    ValueError,
-    OSError,
-)
+# ParseError, InvalidElementError, NotInRingError and ConfigError are
+# ValueErrors
+USAGE_ERRORS = (ValueError, OSError)
+
+_EXPRESSION_COMMANDS = ("eval", "dot", "odot", "iota", "basis")
+
+# argparse reads an argument that starts with "-" as an option, so it
+# would reject an expression such as "-2*t1".  No option starts with "-"
+# and then a digit, "(" or "t", so main() passes such an argument of an
+# expression command behind a NUL, which no command-line argument can
+# hold, and _element and the usage errors drop it again.  An argument
+# right after a "--" option stays as it is: it may be the option's value.
+_NEGATED = re.compile(r"-[\d(t]")
+_HIDDEN = "\0"
+
+
+def _hide_negated(argv: list[str]) -> list[str]:
+    if not argv or argv[0] not in _EXPRESSION_COMMANDS:
+        return argv
+    return argv[:1] + [
+        _HIDDEN + arg
+        if _NEGATED.match(arg) and not (prev.startswith("--") and "=" not in prev)
+        else arg
+        for prev, arg in zip(argv, argv[1:])
+    ]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        super().error(message.replace(_HIDDEN, ""))
 
 
 def _element(text: str) -> RT0Element:
-    return RT0Element.from_text(text)
+    return RT0Element.from_text(text.removeprefix(_HIDDEN))
 
 
 def _structure_word_text(word: tuple[int, ...]) -> str:
@@ -129,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tring",
         description=(
             "Exact computations in the graded ring of truncation-compatible "
@@ -182,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_hide_negated(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except USAGE_ERRORS as err:

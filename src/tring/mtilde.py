@@ -25,11 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .base import AlgebraElement, BaseOperadConfig, ConfigError
 from .poly import Mono, Polynomial, positive_support
-from .ring import RElement, _join_mono, _split_mono, quasi_shuffle
+from .ring import _join_mono, _split_mono, interval_length, quasi_shuffle
 from .rt0 import (
     RT0Element,
     class_constants,
@@ -85,10 +85,7 @@ class MTildeElement:
                         f"expected {arity + 1} slots, got {len(monos)}"
                     )
                 for mono in monos:
-                    support = positive_support(mono)
-                    if any(var == 0 for var, _ in mono) or support != frozenset(
-                        range(1, len(support) + 1)
-                    ):
+                    if interval_length(mono) is None or not all(var for var, _ in mono):
                         raise ValueError(f"invalid slot monomial {mono}")
                 c = Fraction(coeff)
                 if c:
@@ -192,11 +189,6 @@ def _mono_as_rt0(mono: Mono) -> RT0Element:
     return RT0Element._raw({len(positive_support(mono)): Polynomial({mono: 1})})
 
 
-def _relement_monos(relt: RElement) -> Iterable[tuple[Mono, Fraction]]:
-    for p in relt.components.values():
-        yield from p.terms.items()
-
-
 def _mono_r_mul(a: Mono, b: Mono, memo: dict) -> list[tuple[Mono, int]]:
     """Family product of two slot monomials, on their keys."""
     (ea, u), (eb, v) = _split_mono(a), _split_mono(b)
@@ -267,8 +259,9 @@ def _slot_insert(
         substituted = substitute_class(product, base.phi(arity, slot), algebra)
         cached = [
             (name, mono, coeff)
-            for name, relt in substituted.items()
-            for mono, coeff in _relement_monos(relt)
+            for name, h in substituted.items()
+            for p in h.components.values()
+            for mono, coeff in p.terms.items()
         ]
         cache[key] = cached
     return cached

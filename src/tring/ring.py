@@ -14,8 +14,9 @@ two monomials is the quasi-shuffle of their compositions (Hoffman,
 suite checks it against the covering-pair definition through the
 projection homomorphism and decode.
 
-t0 is fixed by all increasing-map operations, so the same kernel serves
-the t0-extended elements defined in :mod:`tring.rt0`.
+t0 is fixed by all increasing-map operations, so one element type and
+one product serve both rings: RT0Element holds families with f_n in
+I_n[t0], and RElement is its t0-free case, checked on construction.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .poly import (
     Polynomial,
     ScalarLike,
     enumerate_increasing_maps,
+    mono_degree,
+    mono_str,
     positive_support,
     pushforward,
 )
@@ -39,26 +42,27 @@ class NotInRingError(ValueError):
     """A polynomial is not the level-d projection of any family."""
 
 
+class InvalidElementError(ValueError):
+    """A polynomial has a term that belongs to no component I_n[t0]."""
+
+
+def interval_length(mono: Mono) -> int | None:
+    """n when the variables of mono other than t0 are exactly t1, ..., tn,
+    None when they skip one."""
+    support = positive_support(mono)
+    n = len(support)
+    return n if support == frozenset(range(1, n + 1)) else None
+
+
 def check_component(n: int, p: Polynomial) -> bool:
     """True iff p lies in I_n: every term has support exactly {t1,...,tn}.
 
     For n = 0 this means p is constant.  Terms may not involve t0.
     """
-    if n < 0:
-        return False
-    want = frozenset(range(1, n + 1))
-    for mono in p.terms:
-        if any(var == 0 for var, _ in mono):
-            return False
-        if positive_support(mono) != want:
-            return False
-    return True
-
-
-def _check_component_t0(n: int, p: Polynomial) -> bool:
-    # variant used by the t0-extension: any t0 power is allowed
-    want = frozenset(range(1, n + 1))
-    return all(positive_support(mono) == want for mono in p.terms)
+    return n >= 0 and all(
+        interval_length(mono) == n and all(var for var, _ in mono)
+        for mono in p.terms
+    )
 
 
 def normalize_components(components: Mapping[int, Polynomial]) -> Components:
@@ -195,33 +199,79 @@ def decode_components(value: Polynomial, d: int) -> Components:
     return normalize_components(components)
 
 
-class RElement:
-    """A finite family (f_n) with f_n in I_n; the elements of the big ring."""
+class RT0Element:
+    """A finite family (f_n) with f_n in I_n[t0]."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_hash")
 
     def __init__(self, components: Mapping[int, Polynomial]):
         for n, p in components.items():
-            if p and not check_component(n, p):
-                raise NotInRingError(
-                    f"component {n} is not in I_{n}: {p}"
+            if any(interval_length(mono) != n for mono in p.terms):
+                raise InvalidElementError(
+                    f"component {n} does not have support t1..t{n}: {p}"
                 )
         self.components = normalize_components(components)
 
     @classmethod
-    def _raw(cls, components: Components) -> "RElement":
+    def _raw(cls, components: Components) -> "RT0Element":
         elt = cls.__new__(cls)
         elt.components = components
         return elt
 
     @classmethod
-    def zero(cls) -> "RElement":
+    def zero(cls) -> "RT0Element":
         return cls._raw({})
 
     @classmethod
-    def unit(cls, c: ScalarLike = 1) -> "RElement":
+    def one(cls) -> "RT0Element":
+        return cls._raw({0: Polynomial.one()})
+
+    @classmethod
+    def scalar(cls, c: ScalarLike) -> "RT0Element":
         c = Fraction(c)
         return cls._raw({0: Polynomial.const(c)} if c else {})
+
+    @staticmethod
+    def t0_power(a: int) -> "RT0Element":
+        return RT0Element._raw({0: Polynomial.variable(0, a)})
+
+    @staticmethod
+    def from_polynomial(p: Polynomial) -> "RT0Element":
+        """Group the terms of p by the length of their variable prefix.
+
+        Every term must use a contiguous block t1, ..., tn of interval
+        variables; a gap such as t1*t3 is rejected by name.
+        """
+        grouped: dict[int, dict[Mono, Fraction]] = {}
+        for mono, coeff in p.terms.items():
+            n = interval_length(mono)
+            if n is None:
+                raise InvalidElementError(
+                    f"not a valid element: monomial {mono_str(mono)} "
+                    f"skips an interval variable"
+                )
+            grouped.setdefault(n, {})[mono] = coeff
+        return RT0Element._raw({n: Polynomial(t) for n, t in grouped.items()})
+
+    @staticmethod
+    def from_text(text: str) -> "RT0Element":
+        from .poly import parse_polynomial
+
+        return RT0Element.from_polynomial(parse_polynomial(text))
+
+    # -- views -----------------------------------------------------------
+
+    def to_polynomial(self) -> Polynomial:
+        out = Polynomial.zero()
+        for p in self.components.values():
+            out = out + p
+        return out
+
+    def __str__(self) -> str:
+        return str(self.to_polynomial())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
 
     def is_zero(self) -> bool:
         return not self.components
@@ -229,31 +279,105 @@ class RElement:
     def __bool__(self) -> bool:
         return bool(self.components)
 
-    def __add__(self, other: "RElement") -> "RElement":
-        return RElement._raw(add_components(self.components, other.components))
-
-    def __sub__(self, other: "RElement") -> "RElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: ScalarLike) -> "RElement":
-        return RElement._raw(scale_components(self.components, Fraction(c)))
-
-    def __mul__(self, other: "RElement") -> "RElement":
-        return r_mul(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RElement):
-            return self.components == other.components
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset((n, p) for n, p in self.components.items()))
-
     def degree(self) -> int:
         """Maximal polynomial degree across components; -1 when zero."""
         if not self.components:
             return -1
         return max(p.total_degree() for p in self.components.values())
+
+    def is_homogeneous(self) -> bool:
+        degrees = {
+            mono_degree(m) for p in self.components.values() for m in p.terms
+        }
+        return len(degrees) <= 1
+
+    def homogeneous_parts(self) -> dict[int, "RT0Element"]:
+        parts: dict[int, dict[int, dict[Mono, Fraction]]] = {}
+        for n, p in self.components.items():
+            for mono, coeff in p.terms.items():
+                parts.setdefault(mono_degree(mono), {}).setdefault(n, {})[
+                    mono
+                ] = coeff
+        return {
+            deg: RT0Element._raw(
+                {n: Polynomial(terms) for n, terms in comps.items()}
+            )
+            for deg, comps in sorted(parts.items())
+        }
+
+    def t0_free(self) -> bool:
+        return all(
+            all(var for var, _ in mono)
+            for p in self.components.values()
+            for mono in p.terms
+        )
+
+    def t0_coefficients(self) -> dict[int, "RElement"]:
+        """Write the element as sum_a t0^a * h_a with t0-free h_a."""
+        split: dict[int, dict[Key, Fraction]] = {}
+        for (a, u), coeff in split_components(self.components):
+            split.setdefault(a, {})[0, u] = coeff
+        return {
+            a: RElement._raw(join_components(terms))
+            for a, terms in sorted(split.items())
+        }
+
+    # -- linear structure ---------------------------------------------------
+
+    def __add__(self, other: "RT0Element") -> "RT0Element":
+        return RT0Element._raw(add_components(self.components, other.components))
+
+    def __sub__(self, other: "RT0Element") -> "RT0Element":
+        return self + other.scale(-1)
+
+    def __neg__(self) -> "RT0Element":
+        return self.scale(-1)
+
+    def scale(self, c: ScalarLike) -> "RT0Element":
+        return RT0Element._raw(scale_components(self.components, Fraction(c)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RT0Element):
+            return self.components == other.components
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        cached = getattr(self, "_hash", None)
+        if cached is None:
+            cached = hash(frozenset(self.components.items()))
+            self._hash = cached
+        return cached
+
+
+def dot_mul(x: RT0Element, y: RT0Element) -> RT0Element:
+    """The family product, commutative: t0 powers add and interval parts
+    quasi-shuffle (the covering-pair product, see multiply_components).
+    On t0-free families it is the product of the big ring."""
+    return RT0Element._raw(multiply_components(x.components, y.components))
+
+
+r_mul = dot_mul
+
+
+class RElement(RT0Element):
+    """A t0-free family (f_n) with f_n in I_n; the elements of the big ring.
+
+    Only construction differs from RT0Element: a component outside I_n,
+    a t0 power included, raises NotInRingError.  Arithmetic is inherited
+    and returns RT0Element.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, components: Mapping[int, Polynomial]):
+        for n, p in components.items():
+            if p and not check_component(n, p):
+                raise NotInRingError(f"component {n} is not in I_{n}: {p}")
+        self.components = normalize_components(components)
+
+    @classmethod
+    def unit(cls, c: ScalarLike = 1) -> "RElement":
+        return cls.scalar(c)
 
     def to_pairs(self) -> list[tuple[int, str]]:
         return [(n, str(p)) for n, p in sorted(self.components.items())]
@@ -266,14 +390,6 @@ class RElement:
         for n, text in pairs:
             components = add_components(components, {n: parse_polynomial(text)})
         return cls(components)
-
-    def __repr__(self) -> str:
-        return f"RElement({self.to_pairs()!r})"
-
-
-def r_mul(f: RElement, g: RElement) -> RElement:
-    """Product of two families (see multiply_components)."""
-    return RElement._raw(multiply_components(f.components, g.components))
 
 
 class RdElement:
@@ -300,7 +416,7 @@ class RdElement:
         return f"RdElement(level={self.level}, value={self.value})"
 
 
-def project_to_level(f: RElement, d: int) -> RdElement:
+def project_to_level(f: RT0Element, d: int) -> RdElement:
     out = RdElement.__new__(RdElement)
     out.level = d
     out.value = project_components(f.components, d)

@@ -46,6 +46,63 @@ def test_basis(capsys):
     assert (code, out) == (0, "0\n")
 
 
+def test_expressions_with_a_leading_minus(capsys):
+    assert run_cli(capsys, "eval", "-2*t1") == (0, "-2*t1\n", "")
+    assert run_cli(capsys, "dot", "-t0-t1", "t1") == (0, "-t0*t1 - t1^2 - 2*t1*t2\n", "")
+    assert run_cli(capsys, "odot", "-1", "-(t0+t1)") == (0, "t0*t1 + t1^2 + 2*t1*t2\n", "")
+    assert run_cli(capsys, "basis", "-t0", "--which", "iota-basis") == (
+        0,
+        "-1 * ((t0+t1)) + 1 * (1 (*) 1)\n",
+        "",
+    )
+    assert run_cli(capsys, "eval", "--", "-2*t1") == (0, "-2*t1\n", "")
+    # parse errors point into the expression as typed
+    assert run_cli(capsys, "eval", "-2*t1+") == (
+        2,
+        "",
+        "error: unexpected '' (at position 6)\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "-x"], "the following arguments are required: expression"),
+        (["eval", "--foo", "t1"], "unrecognized arguments: --foo"),
+        (["eval", "--foo", "-t0"], "the following arguments are required: expression"),
+        (["eval", "t1", "-t0"], "unrecognized arguments: -t0"),
+        (["basis", "t0", "--which", "-t0"], "argument --which: expected one argument"),
+    ],
+)
+def test_options_next_to_a_leading_minus(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+    assert "\0" not in err
+
+
+def test_help_is_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tring eval [-h] expression")
+
+
+@pytest.mark.parametrize("which", ["structure", "iota-basis"])
+@pytest.mark.parametrize("expression, degree", [("t0^9", 9), ("t0^20*t1^10", 30)])
+def test_basis_degree_bound(capsys, which, expression, degree):
+    misses = rt0._basis_matrix.cache_info().misses
+    assert run_cli(capsys, "basis", expression, "--which", which) == (
+        2,
+        "",
+        f"error: basis expansion supports degree at most {rt0.MAX_BASIS_DEGREE}, "
+        f"got degree {degree}\n",
+    )
+    assert rt0._basis_matrix.cache_info().misses == misses
+
+
 def test_parse_and_validation_errors(capsys):
     code, _, err = run_cli(capsys, "eval", "t1 +")
     assert code == 2 and "error" in err

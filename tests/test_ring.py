@@ -8,8 +8,10 @@ from tring.ring import (
     NotInRingError,
     RElement,
     RdElement,
+    RT0Element,
     check_component,
     decode_rd,
+    dot_mul,
     project_to_level,
     r_mul,
     restrict_level,
@@ -37,7 +39,18 @@ def test_relement_validation():
         RElement({1: P("t2")})
     with pytest.raises(NotInRingError):
         RElement({2: P("t1")})
+    with pytest.raises(NotInRingError):
+        RElement({1: P("t0*t1")})
     assert RElement({1: P("0")}) == RElement.zero()
+
+
+def test_relement_is_the_t0_free_case():
+    components = {1: P("t1^2"), 2: P("3*t1*t2")}
+    f, x = RElement(components), RT0Element(components)
+    assert f == x and x == f
+    assert hash(f) == hash(x)
+    assert r_mul is dot_mul
+    assert type(f + f) is RT0Element
 
 
 def test_r_mul_generator_values():

@@ -9,6 +9,7 @@ from tring.base import DegreeMismatchError, rank2_base, trivial_base
 from tring.poly import Polynomial, mono_degree, parse_polynomial, positive_support
 from tring.ring import (
     RElement,
+    check_component,
     decode_components,
     decode_rd,
     project_components,
@@ -61,6 +62,8 @@ def test_from_polynomial_rejects_gaps():
         E("t1*t3")
     with pytest.raises(InvalidElementError):
         E("t2")
+    with pytest.raises(InvalidElementError):
+        RT0Element({2: P("t1*t3")})
 
 
 # -- dot product ---------------------------------------------------------------
@@ -247,6 +250,18 @@ def test_r_mul_matches_projection(f, g):
     d = f.degree() + g.degree()
     value = project_to_level(f, d).value * project_to_level(g, d).value
     assert r_mul(f, g) == decode_rd(value, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sums_of_monomials)
+def test_t0_coefficients_rebuild_the_element(x):
+    parts = x.t0_coefficients()
+    for h in parts.values():
+        assert all(check_component(n, p) for n, p in h.components.items())
+    rebuilt = RT0Element.zero()
+    for a, h in parts.items():
+        rebuilt = rebuilt + dot_mul(RT0Element.t0_power(a), h)
+    assert rebuilt == x
 
 
 @settings(max_examples=40, deadline=None)
