@@ -143,16 +143,6 @@ class GradedAlgebra:
     def is_homogeneous(self, x: AlgebraElement, degree: int) -> bool:
         return all(self.degrees[name] == degree for name in x)
 
-    def element_str(self, x: AlgebraElement) -> str:
-        if not x:
-            return "0"
-        parts = []
-        for name in self.basis:
-            if name in x:
-                c = x[name]
-                parts.append(name if c == 1 else f"{c}*{name}")
-        return " + ".join(parts)
-
 
 def alg_mul(algebra: GradedAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return algebra.mul(x, y)

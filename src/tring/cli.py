@@ -3,8 +3,10 @@
 Expression commands print one canonical line to stdout; the verify
 command prints a verdict report (text or JSON).  Exit codes: 0 on
 success, 1 when a verification suite found a failing identity, 2 for
-usage, parse, or validation errors, and 3 for an internal error (two
-computation paths disagree, which means a bug), reported as one
+usage, parse, or validation errors (a dot, odot or iota result above
+degree MAX_RESULT_DEGREE included), and 3 for an internal error (a
+word basis matrix is singular, or a basis expansion does not
+re-evaluate to its input, which means a bug), reported as one
 ``internal error:`` line on stderr.
 """
 
@@ -65,6 +67,25 @@ def _element(text: str) -> RT0Element:
     return RT0Element.from_text(text.removeprefix(_HIDDEN))
 
 
+# A product of degree n has up to 2^n terms.  At degree 12 a dense dot
+# of two degree-6 elements takes 0.4 s and 47 MB of peak RSS, and iota
+# of a dense degree-12 element 1.5 s and 30 MB, on a 2-CPU Xeon VM.
+MAX_RESULT_DEGREE = 12
+
+
+def _factors(*texts: str, raise_by: int = 0) -> list[RT0Element]:
+    """Parse the factors of a product, refusing them when the product is
+    nonzero and its degree, their degrees plus raise_by, is above
+    MAX_RESULT_DEGREE."""
+    factors = [_element(text) for text in texts]
+    degree = sum(f.degree() for f in factors) + raise_by
+    if all(factors) and degree > MAX_RESULT_DEGREE:
+        raise ValueError(
+            f"result degree {degree} is above the bound {MAX_RESULT_DEGREE}"
+        )
+    return factors
+
+
 def _structure_word_text(word: tuple[int, ...]) -> str:
     def factor(a: int) -> str:
         return "1" if a == 0 else ("t0" if a == 1 else f"t0^{a}")
@@ -79,27 +100,23 @@ def _involution_word_text(word: tuple[int, ...]) -> str:
     return " (*) ".join(factor(a) for a in word)
 
 
-def _coeff_text(c) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     print(_element(args.expression))
     return 0
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    print(dot_mul(_element(args.left), _element(args.right)))
+    print(dot_mul(*_factors(args.left, args.right)))
     return 0
 
 
 def cmd_odot(args: argparse.Namespace) -> int:
-    print(odot(_element(args.left), _element(args.right)))
+    print(odot(*_factors(args.left, args.right, raise_by=1)))
     return 0
 
 
 def cmd_iota(args: argparse.Namespace) -> int:
-    print(iota(_element(args.expression)))
+    print(iota(*_factors(args.expression)))
     return 0
 
 
@@ -123,7 +140,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
         print("0")
         return 0
     ordered = sorted(expansion.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    print(" + ".join(f"{_coeff_text(c)} * ({render(w)})" for w, c in ordered))
+    print(" + ".join(f"{c} * ({render(w)})" for w, c in ordered))
     return 0
 
 

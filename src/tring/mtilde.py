@@ -28,7 +28,7 @@ from itertools import product as iter_product
 from typing import Iterator, Mapping
 
 from .base import AlgebraElement, BaseOperadConfig, ConfigError
-from .poly import Mono, Polynomial, positive_support
+from .poly import Mono
 from .ring import _join_mono, _split_mono, interval_length, quasi_shuffle
 from .rt0 import (
     RT0Element,
@@ -186,7 +186,7 @@ def _add_term(
 
 
 def _mono_as_rt0(mono: Mono) -> RT0Element:
-    return RT0Element._raw({len(positive_support(mono)): Polynomial({mono: 1})})
+    return RT0Element._raw({_split_mono(mono): 1})
 
 
 def _mono_r_mul(a: Mono, b: Mono, memo: dict) -> list[tuple[Mono, int]]:
@@ -258,10 +258,9 @@ def _slot_insert(
         product = odot(_mono_as_rt0(slot_mono), argument)
         substituted = substitute_class(product, base.phi(arity, slot), algebra)
         cached = [
-            (name, mono, coeff)
+            (name, _join_mono(0, u), coeff)
             for name, h in substituted.items()
-            for p in h.components.values()
-            for mono, coeff in p.terms.items()
+            for (_, u), coeff in h.terms.items()
         ]
         cache[key] = cached
     return cached
@@ -479,11 +478,7 @@ def spanning_elements(
         out = []
         for degree in range(max_degree + 1):
             for mono in monomials_of_degree(degree):
-                out.append(
-                    MTildeElement.from_rt0(
-                        RT0Element.from_polynomial(Polynomial({mono: 1}))
-                    )
-                )
+                out.append(MTildeElement.from_rt0(_mono_as_rt0(mono)))
         return out
     algebra = base.algebra(arity)
     monos = _t0_free_monomials_upto(max_degree)

@@ -554,10 +554,6 @@ def parse_polynomial(text: str) -> Polynomial:
     return _Parser(text).parse()
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text: ascending total degree, graded-lexicographic inside."""
     if not p.terms:
@@ -567,11 +563,11 @@ def format_polynomial(p: Polynomial) -> str:
         sign = "-" if coeff < 0 else "+"
         magnitude = abs(coeff)
         if not mono:
-            body = _coeff_str(magnitude)
+            body = str(magnitude)
         elif magnitude == 1:
             body = mono_str(mono)
         else:
-            body = f"{_coeff_str(magnitude)}*{mono_str(mono)}"
+            body = f"{magnitude}*{mono_str(mono)}"
         if index == 0:
             pieces.append(body if sign == "+" else f"-{body}")
         else:

@@ -7,12 +7,15 @@ the target interval; projecting a family to a finite level d turns it
 into an ordinary polynomial in Q[t1,...,td], and that projection is a
 ring homomorphism onto the level-d truncation ring.
 
-The product is computed on monomial keys: t0^a * t1^u1 * ... * tn^un is
-keyed by (a, u), where u is a composition, and the covering-pair sum of
-two monomials is the quasi-shuffle of their compositions (Hoffman,
-"Quasi-shuffle products", 2000) with the t0 powers added.  The ring
-suite checks it against the covering-pair definition through the
-projection homomorphism and decode.
+Elements are stored on monomial keys: t0^a * t1^u1 * ... * tn^un is
+keyed by (a, u), where u is a composition, so the key alone says which
+component f_n (n = len(u)) a term belongs to.  A coefficient is an int
+when it is integral and a Fraction only where a denominator appears.
+The covering-pair sum of two monomials is the quasi-shuffle of their
+compositions (Hoffman, "Quasi-shuffle products", 2000) with the t0
+powers added.  The components f_n as Polynomials are a view, built for
+the projection and decode cross-checks; the ring suite checks the
+product against the covering-pair definition through them.
 
 t0 is fixed by all increasing-map operations, so one element type and
 one product serve both rings: RT0Element holds families with f_n in
@@ -29,7 +32,6 @@ from .poly import (
     Polynomial,
     ScalarLike,
     enumerate_increasing_maps,
-    mono_degree,
     mono_str,
     positive_support,
     pushforward,
@@ -65,34 +67,14 @@ def check_component(n: int, p: Polynomial) -> bool:
     )
 
 
-def normalize_components(components: Mapping[int, Polynomial]) -> Components:
-    return {n: p for n, p in components.items() if p}
-
-
-def add_components(a: Components, b: Components) -> Components:
-    out = dict(a)
-    for n, p in b.items():
-        q = out.get(n)
-        s = p if q is None else q + p
-        if s:
-            out[n] = s
-        elif n in out:
-            del out[n]
-    return out
-
-
-def scale_components(a: Components, c: ScalarLike) -> Components:
-    if not c:
-        return {}
-    return {n: p.scale(c) for n, p in a.items()}
-
-
 # ---------------------------------------------------------------------------
 # Monomial keys and the product kernel
 # ---------------------------------------------------------------------------
 
 Word = tuple[int, ...]
 Key = tuple[int, Word]
+Coeff = int | Fraction
+Terms = dict[Key, Coeff]
 
 
 def _split_mono(mono: Mono) -> Key:
@@ -107,18 +89,13 @@ def _join_mono(a: int, word: Word) -> Mono:
     return head + tuple(enumerate(word, start=1))
 
 
-def split_components(x: Components) -> list[tuple[Key, Fraction]]:
-    """The terms of a family as (key, coefficient) pairs."""
-    return [(_split_mono(m), c) for p in x.values() for m, c in p.terms.items()]
-
-
-def join_components(terms: Mapping[Key, ScalarLike]) -> Components:
-    """Group keyed terms into family components; zero terms drop out."""
-    grouped: dict[int, dict[Mono, ScalarLike]] = {}
-    for (a, word), c in terms.items():
-        if c:
-            grouped.setdefault(len(word), {})[_join_mono(a, word)] = c
-    return {n: Polynomial(t) for n, t in grouped.items()}
+def nonzero_terms(acc: Mapping[Key, Coeff]) -> Terms:
+    """The nonzero terms of acc, an integral coefficient as an int."""
+    return {
+        key: c.numerator if c.denominator == 1 else c
+        for key, c in acc.items()
+        if c
+    }
 
 
 def quasi_shuffle(u: Word, v: Word, memo: dict) -> dict[Word, int]:
@@ -148,22 +125,22 @@ def quasi_shuffle(u: Word, v: Word, memo: dict) -> dict[Word, int]:
     return out
 
 
-def multiply_components(x: Components, y: Components) -> Components:
+def multiply_components(x: Terms, y: Terms) -> Terms:
     """The family product on keys: (a, u) . (b, v) = (a + b, u * v).
 
     t0 is fixed by every increasing map, so its powers add, and the
     interval parts multiply by the quasi-shuffle (see quasi_shuffle).
     """
     memo: dict = {}
-    right = split_components(y)
-    acc: dict[Key, Fraction] = {}
-    for (a, u), cx in split_components(x):
+    right = list(y.items())
+    acc: dict[Key, Coeff] = {}
+    for (a, u), cx in x.items():
         for (b, v), cy in right:
             c = cx * cy
             for w, mult in quasi_shuffle(u, v, memo).items():
                 key = (a + b, w)
                 acc[key] = acc.get(key, 0) + c * mult
-    return join_components(acc)
+    return nonzero_terms(acc)
 
 
 def project_components(x: Components, d: int) -> Polynomial:
@@ -196,26 +173,28 @@ def decode_components(value: Polynomial, d: int) -> Components:
     components = {n: Polynomial(terms) for n, terms in groups.items()}
     if project_components(components, d) != value:
         raise NotInRingError(f"polynomial is not a level-{d} projection")
-    return normalize_components(components)
+    return components
 
 
 class RT0Element:
-    """A finite family (f_n) with f_n in I_n[t0]."""
+    """A finite family (f_n) with f_n in I_n[t0], held as its keyed terms."""
 
-    __slots__ = ("components", "_hash")
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, components: Mapping[int, Polynomial]):
+        terms: Terms = {}
         for n, p in components.items():
             if any(interval_length(mono) != n for mono in p.terms):
                 raise InvalidElementError(
                     f"component {n} does not have support t1..t{n}: {p}"
                 )
-        self.components = normalize_components(components)
+            terms.update((_split_mono(mono), c) for mono, c in p.terms.items())
+        self.terms = nonzero_terms(terms)
 
     @classmethod
-    def _raw(cls, components: Components) -> "RT0Element":
+    def _raw(cls, terms: Terms) -> "RT0Element":
         elt = cls.__new__(cls)
-        elt.components = components
+        elt.terms = terms
         return elt
 
     @classmethod
@@ -224,34 +203,32 @@ class RT0Element:
 
     @classmethod
     def one(cls) -> "RT0Element":
-        return cls._raw({0: Polynomial.one()})
+        return cls._raw({(0, ()): 1})
 
     @classmethod
     def scalar(cls, c: ScalarLike) -> "RT0Element":
-        c = Fraction(c)
-        return cls._raw({0: Polynomial.const(c)} if c else {})
+        return cls._raw(nonzero_terms({(0, ()): Fraction(c)}))
 
     @staticmethod
     def t0_power(a: int) -> "RT0Element":
-        return RT0Element._raw({0: Polynomial.variable(0, a)})
+        return RT0Element._raw({(a, ()): 1})
 
     @staticmethod
     def from_polynomial(p: Polynomial) -> "RT0Element":
-        """Group the terms of p by the length of their variable prefix.
+        """Key the terms of p; the key's word length is the component.
 
         Every term must use a contiguous block t1, ..., tn of interval
         variables; a gap such as t1*t3 is rejected by name.
         """
-        grouped: dict[int, dict[Mono, Fraction]] = {}
-        for mono, coeff in p.terms.items():
-            n = interval_length(mono)
-            if n is None:
+        for mono in p.terms:
+            if interval_length(mono) is None:
                 raise InvalidElementError(
                     f"not a valid element: monomial {mono_str(mono)} "
                     f"skips an interval variable"
                 )
-            grouped.setdefault(n, {})[mono] = coeff
-        return RT0Element._raw({n: Polynomial(t) for n, t in grouped.items()})
+        return RT0Element._raw(
+            nonzero_terms({_split_mono(m): c for m, c in p.terms.items()})
+        )
 
     @staticmethod
     def from_text(text: str) -> "RT0Element":
@@ -261,11 +238,16 @@ class RT0Element:
 
     # -- views -----------------------------------------------------------
 
+    @property
+    def components(self) -> Components:
+        """The components f_n as Polynomials, built on each read."""
+        grouped: dict[int, dict[Mono, Coeff]] = {}
+        for (a, u), c in self.terms.items():
+            grouped.setdefault(len(u), {})[_join_mono(a, u)] = c
+        return {n: Polynomial(t) for n, t in grouped.items()}
+
     def to_polynomial(self) -> Polynomial:
-        out = Polynomial.zero()
-        for p in self.components.values():
-            out = out + p
-        return out
+        return Polynomial({_join_mono(a, u): c for (a, u), c in self.terms.items()})
 
     def __str__(self) -> str:
         return str(self.to_polynomial())
@@ -274,58 +256,38 @@ class RT0Element:
         return f"{type(self).__name__}({str(self)!r})"
 
     def is_zero(self) -> bool:
-        return not self.components
+        return not self.terms
 
     def __bool__(self) -> bool:
-        return bool(self.components)
+        return bool(self.terms)
 
     def degree(self) -> int:
-        """Maximal polynomial degree across components; -1 when zero."""
-        if not self.components:
-            return -1
-        return max(p.total_degree() for p in self.components.values())
+        """Maximal polynomial degree of a term; -1 when zero."""
+        return max((a + sum(u) for a, u in self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degrees = {
-            mono_degree(m) for p in self.components.values() for m in p.terms
-        }
-        return len(degrees) <= 1
+        return len({a + sum(u) for a, u in self.terms}) <= 1
 
     def homogeneous_parts(self) -> dict[int, "RT0Element"]:
-        parts: dict[int, dict[int, dict[Mono, Fraction]]] = {}
-        for n, p in self.components.items():
-            for mono, coeff in p.terms.items():
-                parts.setdefault(mono_degree(mono), {}).setdefault(n, {})[
-                    mono
-                ] = coeff
-        return {
-            deg: RT0Element._raw(
-                {n: Polynomial(terms) for n, terms in comps.items()}
-            )
-            for deg, comps in sorted(parts.items())
-        }
-
-    def t0_free(self) -> bool:
-        return all(
-            all(var for var, _ in mono)
-            for p in self.components.values()
-            for mono in p.terms
-        )
+        parts: dict[int, Terms] = {}
+        for (a, u), c in self.terms.items():
+            parts.setdefault(a + sum(u), {})[a, u] = c
+        return {deg: RT0Element._raw(t) for deg, t in sorted(parts.items())}
 
     def t0_coefficients(self) -> dict[int, "RElement"]:
         """Write the element as sum_a t0^a * h_a with t0-free h_a."""
-        split: dict[int, dict[Key, Fraction]] = {}
-        for (a, u), coeff in split_components(self.components):
-            split.setdefault(a, {})[0, u] = coeff
-        return {
-            a: RElement._raw(join_components(terms))
-            for a, terms in sorted(split.items())
-        }
+        split: dict[int, Terms] = {}
+        for (a, u), c in self.terms.items():
+            split.setdefault(a, {})[0, u] = c
+        return {a: RElement._raw(t) for a, t in sorted(split.items())}
 
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "RT0Element") -> "RT0Element":
-        return RT0Element._raw(add_components(self.components, other.components))
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return RT0Element._raw(nonzero_terms(out))
 
     def __sub__(self, other: "RT0Element") -> "RT0Element":
         return self + other.scale(-1)
@@ -334,17 +296,18 @@ class RT0Element:
         return self.scale(-1)
 
     def scale(self, c: ScalarLike) -> "RT0Element":
-        return RT0Element._raw(scale_components(self.components, Fraction(c)))
+        c = Fraction(c)
+        return RT0Element._raw(nonzero_terms({k: v * c for k, v in self.terms.items()}))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RT0Element):
-            return self.components == other.components
+            return self.terms == other.terms
         return NotImplemented
 
     def __hash__(self) -> int:
         cached = getattr(self, "_hash", None)
         if cached is None:
-            cached = hash(frozenset(self.components.items()))
+            cached = hash(frozenset(self.terms.items()))
             self._hash = cached
         return cached
 
@@ -353,7 +316,7 @@ def dot_mul(x: RT0Element, y: RT0Element) -> RT0Element:
     """The family product, commutative: t0 powers add and interval parts
     quasi-shuffle (the covering-pair product, see multiply_components).
     On t0-free families it is the product of the big ring."""
-    return RT0Element._raw(multiply_components(x.components, y.components))
+    return RT0Element._raw(multiply_components(x.terms, y.terms))
 
 
 r_mul = dot_mul
@@ -373,7 +336,7 @@ class RElement(RT0Element):
         for n, p in components.items():
             if p and not check_component(n, p):
                 raise NotInRingError(f"component {n} is not in I_{n}: {p}")
-        self.components = normalize_components(components)
+        super().__init__(components)
 
     @classmethod
     def unit(cls, c: ScalarLike = 1) -> "RElement":
@@ -388,7 +351,7 @@ class RElement(RT0Element):
 
         components: Components = {}
         for n, text in pairs:
-            components = add_components(components, {n: parse_polynomial(text)})
+            components[n] = components.get(n, Polynomial.zero()) + parse_polynomial(text)
         return cls(components)
 
 
@@ -428,7 +391,7 @@ def decode_rd(value: Polynomial, d: int) -> RElement:
     for var in value.variables():
         if var == 0 or var > d:
             raise NotInRingError(f"variable t{var} not allowed at level {d}")
-    return RElement._raw(decode_components(value, d))
+    return RElement(decode_components(value, d))
 
 
 def restrict_level(f: RdElement) -> RdElement:

@@ -2,9 +2,10 @@
 
 Elements are the families (f_n) with f_n in I_n[t0] of
 :class:`tring.ring.RT0Element`: each term of f_n carries positive
-exponents on exactly t1, ..., tn plus an arbitrary t0 power.  Every
-structure here is computed on the monomial keys (a, u) of
-t0^a * t1^u1 * ... * tn^un, where u is a composition, with the one
+exponents on exactly t1, ..., tn plus an arbitrary t0 power.  An
+element stores its terms on the monomial keys (a, u) of
+t0^a * t1^u1 * ... * tn^un, where u is a composition, and every
+structure here reads and writes those keys directly, with the one
 product kernel of :mod:`tring.ring`, the quasi-shuffle of compositions
 (Hoffman, "Quasi-shuffle products", 2000):
 
@@ -15,7 +16,10 @@ product kernel of :mod:`tring.ring`, the quasi-shuffle of compositions
 * the non-commutative, degree-raising "odot" product.  Its level-k
   truncations q_k define it; it is computed in closed form on the keys,
   and the verification suite checks the closed form against the decoded
-  truncations.
+  truncations and, for a t0-free right factor, the concatenation form.
+
+q_k and the concatenation form are the reference paths: they work on
+the Polynomial components view.
 
 Monomials t0^a0 * t1^a1 * ... * tn^an (a_i >= 1) form a vector-space
 basis; in each total degree n there are exactly 2^n of them, and the
@@ -34,25 +38,26 @@ from typing import Iterable, Mapping
 
 from . import base as base_algebra
 from .linalg import solve_exact
-from .poly import Mono, Polynomial, mono_degree
+from .poly import Mono, Polynomial, _mono_sort_key
 from .ring import (  # InvalidElementError is re-exported
+    Coeff,
     Components,
     InvalidElementError,
     Key,
     RT0Element,
     Word,
     _join_mono,
+    _split_mono,
     dot_mul,
-    join_components,
-    normalize_components,
+    nonzero_terms,
     project_components,
     quasi_shuffle,
-    split_components,
 )
 
 
 class ConsistencyError(RuntimeError):
-    """Two independent computation paths disagree; indicates a bug."""
+    """An invariant the mathematics guarantees failed, such as the
+    invertibility of a word basis matrix; indicates a bug."""
 
 
 def dot_power(x: RT0Element, exp: int) -> RT0Element:
@@ -90,8 +95,8 @@ def iota(x: RT0Element) -> RT0Element:
     gives the identity.
     """
     memo: dict = {}
-    acc: dict[Key, Fraction] = {}
-    for (a, u), coeff in split_components(x.components):
+    acc: dict[Key, Coeff] = {}
+    for (a, u), coeff in x.terms.items():
         signed = -coeff if a % 2 else coeff
         words = {u[::-1]: 1}
         for c in range(a + 1):  # c = a - i factors (1)
@@ -100,7 +105,7 @@ def iota(x: RT0Element) -> RT0Element:
             weight = signed * comb(a, c)
             for w, mult in words.items():
                 acc[a - c, w] = acc.get((a - c, w), 0) + weight * mult
-    return RT0Element._raw(join_components(acc))
+    return RT0Element._raw(nonzero_terms(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +123,9 @@ def q_k(x: RT0Element, y: RT0Element, k: int) -> Polynomial:
     if k < 1:
         raise ValueError("truncation level must be >= 1")
     out = Polynomial.zero()
+    x_components, y_components = x.components, y.components
     for j in range(1, k + 1):
-        left = project_components(x.components, j - 1)
+        left = project_components(x_components, j - 1)
         if not left:
             continue
         shift = Polynomial.zero()
@@ -127,7 +133,7 @@ def q_k(x: RT0Element, y: RT0Element, k: int) -> Polynomial:
             shift = shift + Polynomial.variable(i)
         right = Polynomial.zero()
         window = range(j + 1, k + 1)
-        for m, ym in y.components.items():
+        for m, ym in y_components.items():
             if m > len(window):
                 continue
             for values in combinations(window, m):
@@ -150,7 +156,7 @@ def _concatenation(x: RT0Element, y: RT0Element) -> RT0Element:
             piece = xn * separator * shifted
             k = n + m + 1
             acc[k] = acc.get(k, Polynomial.zero()) + piece
-    return RT0Element._raw(normalize_components(acc))
+    return RT0Element(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -192,28 +198,19 @@ def odot(x: RT0Element, y: RT0Element) -> RT0Element:
     """The degree-raising product: deg(x odot y) = deg x + deg y + 1.
 
     Bilinear extension of the closed form on basis monomials (see
-    _odot_monomials), with no truncation and no decode.  When the right
-    factor is t0-free the concatenation form is computed as well and must
-    agree.  The truncation path (q_k at level deg x + deg y + 1, then
-    decode) is kept as a cross-check in the odot verification suite.
+    _odot_monomials), with no truncation and no decode.  The odot
+    verification suite checks it against two independent paths: the
+    truncation (q_k at level deg x + deg y + 1, then decode) and, for a
+    t0-free right factor, the concatenation form.
     """
-    if x.is_zero() or y.is_zero():
-        return RT0Element.zero()
-    right = split_components(y.components)
-    acc: dict[Key, Fraction] = {}
-    for (a, u), cx in split_components(x.components):
+    right = list(y.terms.items())
+    acc: dict[Key, Coeff] = {}
+    for (a, u), cx in x.terms.items():
         for (b, v), cy in right:
             c = cx * cy
             for key, mult in _odot_monomials(a, u, b, v).items():
                 acc[key] = acc.get(key, 0) + c * mult
-    result = RT0Element._raw(join_components(acc))
-    if y.t0_free():
-        direct = _concatenation(x, y)
-        if direct != result:
-            raise ConsistencyError(
-                "odot closed form disagrees with the concatenation form"
-            )
-    return result
+    return RT0Element._raw(nonzero_terms(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +228,7 @@ def monomials_of_degree(n: int) -> list[Mono]:
         for k in range(1, rest + 1):
             for parts in _exact_compositions(rest - k, k):
                 monos.append(_join_mono(a, tuple(p + 1 for p in parts)))
-    return sorted(monos, key=_grlex_key)
-
-
-def _grlex_key(mono: Mono) -> tuple:
-    width = mono[-1][0] + 1 if mono else 0
-    vec = [0] * width
-    for var, exp in mono:
-        vec[var] = exp
-    return (mono_degree(mono), tuple(-e for e in vec))
+    return sorted(monos, key=_mono_sort_key)
 
 
 def structure_words(n: int) -> list[tuple[int, ...]]:
@@ -292,14 +281,15 @@ _WORD_EVALUATORS = {
 
 # one 2^n x 2^n matrix per (degree, kind): degrees 0..7 of both kinds
 @lru_cache(maxsize=16)
-def _basis_matrix(n: int, kind: str) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[int, ...], ...], tuple[Mono, ...]]:
+def _basis_matrix(n: int, kind: str) -> tuple[tuple[tuple[Coeff, ...], ...], tuple[tuple[int, ...], ...], tuple[Mono, ...]]:
     words = tuple(structure_words(n))
     monos = tuple(monomials_of_degree(n))
+    keys = [_split_mono(m) for m in monos]
     evaluate = _WORD_EVALUATORS[kind]
     columns = []
     for word in words:
-        value = evaluate(word).to_polynomial()
-        columns.append(tuple(value.coefficient(m) for m in monos))
+        terms = evaluate(word).terms
+        columns.append(tuple(terms.get(key, 0) for key in keys))
     matrix = tuple(
         tuple(columns[j][i] for j in range(len(words)))
         for i in range(len(monos))
@@ -337,8 +327,7 @@ def odot_basis_expand(
     out: dict[tuple[int, ...], Fraction] = {}
     for degree, part in x.homogeneous_parts().items():
         matrix, words, monos = _basis_matrix(degree, kind)
-        poly = part.to_polynomial()
-        rhs = [poly.coefficient(m) for m in monos]
+        rhs = [part.terms.get(_split_mono(m), 0) for m in monos]
         solution = solve_exact([list(row) for row in matrix], rhs)
         if solution is None:
             raise ConsistencyError(
@@ -373,32 +362,21 @@ def leading_term_check(x: RT0Element) -> bool:
     coefficient one, every other term must carry a strictly smaller t1
     power, and at least one term must be free of t0.
     """
-    terms = [
-        (mono, coeff)
-        for p in x.components.values()
-        for mono, coeff in p.terms.items()
-    ]
-    if len(terms) != 1:
+    if len(x.terms) != 1:
         raise ValueError("leading_term_check expects a single monomial")
-    mono, coeff = terms[0]
+    ((r, u), coeff), = x.terms.items()
     if coeff != 1:
         raise ValueError("leading_term_check expects coefficient one")
-    exps = dict(mono)
-    r = exps.pop(0, 0)
-    shifted = {1: r + 1}
-    for var, exp in exps.items():
-        shifted[var + 1] = exp
-    expected = tuple(sorted((v, e) for v, e in shifted.items() if e))
-    product = odot(RT0Element.one(), x).to_polynomial()
-    if product.coefficient(expected) != 1:
+    expected = (0, (r + 1,) + u)
+    product = odot(RT0Element.one(), x).terms
+    if product.get(expected) != 1:
         return False
-    lead_t1 = r + 1
     saw_t0_free = False
-    for m in product.terms:
-        e = dict(m)
-        if m != expected and e.get(1, 0) >= lead_t1:
+    for key in product:
+        a, w = key
+        if key != expected and w and w[0] >= r + 1:
             return False
-        if not e.get(0, 0):
+        if not a:
             saw_t0_free = True
     return saw_t0_free
 

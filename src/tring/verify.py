@@ -231,7 +231,7 @@ def _odot_by_truncation(x: rt0.RT0Element, y: rt0.RT0Element) -> rt0.RT0Element 
     decode.  An independent path to compare rt0.odot against."""
     level = x.degree() + y.degree() + 1
     try:
-        return rt0.RT0Element._raw(decode_components(rt0.q_k(x, y, level), level))
+        return rt0.RT0Element(decode_components(rt0.q_k(x, y, level), level))
     except NotInRingError:
         return None
 

@@ -84,7 +84,7 @@ def test_criterion_1_worked_values():
         total = Polynomial.zero()
         for i in range(4):
             total = total + Polynomial.variable(i)
-        oracle = RT0Element._raw(
+        oracle = RT0Element(
             decode_components(reversed_value.substitute_t0(-total), 3)
         )
         frozen = E(

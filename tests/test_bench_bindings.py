@@ -61,6 +61,22 @@ def test_tracer_installs_restores_and_reads_its_figures():
     assert figures["ring.multiply_components.calls"] == 1
 
 
+def test_tracer_counts_the_terms_of_odot(capsys):
+    # the figure is read through the Polynomial components view
+    from tring import cli
+    from tring.rt0 import RT0Element
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert cli.main(["odot", "t1", "t0"]) == 0
+    finally:
+        t.restore()
+    printed = RT0Element.from_text(capsys.readouterr().out)
+    assert len(printed.terms) > 1
+    assert t.figures()["rt0.odot.terms_out"] == len(printed.terms)
+
+
 def _tring_imports(path):
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tring":

@@ -232,13 +232,54 @@ def test_deep_nesting_is_a_parse_error(capsys):
 
 
 def test_consistency_error_exit_code(capsys, monkeypatch):
-    # a disagreeing cross-check is an internal error, not a failed identity
-    monkeypatch.setattr(rt0, "_concatenation", lambda x, y: rt0.RT0Element.zero())
-    code, out, err = run_cli(capsys, "odot", "1", "1")
+    # a singular word basis matrix is an internal error, not a failed identity
+    monkeypatch.setattr(rt0, "solve_exact", lambda matrix, rhs: None)
+    code, out, err = run_cli(capsys, "basis", "t1")
     assert (code, out) == (3, "")
-    assert err == (
-        "internal error: odot closed form disagrees with the concatenation form\n"
+    assert err == "internal error: degree-1 word basis matrix is singular\n"
+
+
+def test_concatenation_form_is_checked_by_verify_only(capsys, monkeypatch):
+    # odot does not recompute the concatenation form; the odot suite
+    # compares the two paths
+    monkeypatch.setattr(rt0, "_concatenation", lambda x, y: rt0.RT0Element.zero())
+    assert run_cli(capsys, "odot", "1", "1") == (0, "t1\n", "")
+    code, out, _ = run_cli(capsys, "verify", "odot", "--max-degree", "1", "--max-n", "2")
+    assert code == 1
+    assert "FAIL concatenation_consistency" in out
+
+
+@pytest.mark.parametrize(
+    "argv, degree",
+    [
+        (["iota", "t0^13"], 13),
+        (["dot", "t0^6", "t0^7"], 13),
+        (["odot", "t0^6", "t0^6"], 13),
+        (["odot", "1", "(t0+t1)^12"], 13),
+    ],
+)
+def test_result_degree_bound(capsys, monkeypatch, argv, degree):
+    def refuse(*args):
+        raise AssertionError("a product was computed")
+
+    for name in ("iota", "dot_mul", "odot"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert run_cli(capsys, *argv) == (
+        2,
+        "",
+        f"error: result degree {degree} is above the bound {cli.MAX_RESULT_DEGREE}\n",
     )
+
+
+def test_result_degree_bound_admits(capsys):
+    assert cli.MAX_RESULT_DEGREE == 12
+    code, out, _ = run_cli(capsys, "iota", "t0^12")
+    assert code == 0 and out.count(" + ") + out.count(" - ") + 1 == 2**12
+    # a zero factor makes a zero product, whatever the other's degree
+    assert run_cli(capsys, "dot", "0", "t0^20") == (0, "0\n", "")
+    assert run_cli(capsys, "odot", "t0^20", "0") == (0, "0\n", "")
+    code, out, _ = run_cli(capsys, "odot", "t0^5", "t0^6")
+    assert code == 0 and rt0.RT0Element.from_text(out).degree() == 12
 
 
 def test_basis_reevaluation_failure_exit_code(capsys, monkeypatch):

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tring.base import DegreeMismatchError, rank2_base, trivial_base
-from tring.poly import Polynomial, mono_degree, parse_polynomial, positive_support
+from tring.poly import (
+    Polynomial,
+    _mono_sort_key,
+    mono_degree,
+    parse_polynomial,
+    positive_support,
+)
 from tring.ring import (
     RElement,
     check_component,
@@ -17,8 +23,8 @@ from tring.ring import (
     r_mul,
 )
 from tring.rt0 import (
-    _grlex_key,
     ConsistencyError,
+    _concatenation,
     InvalidElementError,
     RT0Element,
     class_constants,
@@ -96,7 +102,7 @@ def iota_via_truncation(x: RT0Element) -> RT0Element:
     for i in range(d + 1):
         total = total + Polynomial.variable(i)
     substituted = reversed_value.substitute_t0(-total)
-    return RT0Element._raw(decode_components(substituted, d))
+    return RT0Element(decode_components(substituted, d))
 
 
 def test_iota_simple_values():
@@ -241,7 +247,7 @@ def test_dot_matches_projection(x, y):
     # which is a ring homomorphism, decoded back at d = deg x + deg y
     d = x.degree() + y.degree()
     value = project_components(x.components, d) * project_components(y.components, d)
-    assert dot_mul(x, y) == RT0Element._raw(decode_components(value, d))
+    assert dot_mul(x, y) == RT0Element(decode_components(value, d))
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,8 +281,46 @@ def test_iota_matches_truncation_model(x):
 def test_odot_matches_decoded_truncation(x, y):
     # differential: the closed form against the defining truncation path
     level = x.degree() + y.degree() + 1
-    via_truncation = RT0Element._raw(decode_components(q_k(x, y, level), level))
+    via_truncation = RT0Element(decode_components(q_k(x, y, level), level))
     assert odot(x, y) == via_truncation
+
+
+def _is_canonical(x: RT0Element) -> bool:
+    # no zero coefficient survives, and an integral one is an int
+    return all(
+        c and type(c) is (int if c.denominator == 1 else Fraction)
+        for c in x.terms.values()
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sums_of_monomials)
+def test_keyed_terms_and_the_polynomial_views_agree(x):
+    assert _is_canonical(x)
+    assert RT0Element(x.components) == x
+    assert RT0Element.from_polynomial(x.to_polynomial()) == x
+    assert str(x) == str(x.to_polynomial())
+    assert str(x) == str(sum(x.components.values(), Polynomial.zero()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sums_of_monomials, _sums_of_monomials)
+def test_results_keep_canonical_terms(x, y):
+    assert not (x - x).terms
+    for z in (x + y, x - y, dot_mul(x, y), iota(x), odot(x, y), x.scale(Fraction(4, 3))):
+        assert _is_canonical(z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sums_of_monomials, _t0_free_sums)
+def test_odot_matches_concatenation(x, g):
+    assert odot(x, g) == _concatenation(x, g)
+
+
+def test_scaling_to_an_integral_coefficient():
+    half = E("2*t1").scale(Fraction(1, 2))
+    assert half == E("t1") and hash(half) == hash(E("t1"))
+    assert half.terms == {(0, (1,)): 1} and type(half.terms[0, (1,)]) is int
 
 
 def test_iota_odot_antihomomorphism():
@@ -299,7 +343,7 @@ def test_monomial_counts():
             assert all(exp >= 1 for _, exp in mono)
             support = positive_support(mono)
             assert support == frozenset(range(1, len(support) + 1))
-        assert monos == sorted(monos, key=_grlex_key)
+        assert monos == sorted(monos, key=_mono_sort_key)
 
 
 def test_structure_words_count():
