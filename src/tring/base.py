@@ -8,7 +8,11 @@ coefficient theory the operad layer is run against; the built-in
 adjoins a single square-zero class.
 
 Elements of an algebra are mappings from basis names to rational
-coefficients; zero coefficients are never stored.
+coefficients; zero coefficients are never stored, and a coefficient is
+an int when it is integral and a Fraction only where a denominator
+appears.  Structure constants, clutching tables and parsed config
+coefficients follow the same convention, so products over the built-in
+bases stay in int arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-AlgebraElement = dict[str, Fraction]
+Coeff = int | Fraction
+AlgebraElement = dict[str, Coeff]
 
 
 class ConfigError(ValueError):
@@ -28,21 +33,26 @@ class DegreeMismatchError(ValueError):
     """An element fails a homogeneity requirement."""
 
 
+def canonical(c: Coeff) -> Coeff:
+    """c as an int when it is integral, else the Fraction itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def elt_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     out = dict(x)
     for name, c in y.items():
-        s = out.get(name, Fraction(0)) + c
+        s = out.get(name, 0) + c
         if s:
-            out[name] = s
+            out[name] = canonical(s)
         elif name in out:
             del out[name]
     return out
 
 
-def elt_scale(x: AlgebraElement, c: Fraction) -> AlgebraElement:
+def elt_scale(x: AlgebraElement, c: Coeff) -> AlgebraElement:
     if not c:
         return {}
-    return {name: coeff * c for name, coeff in x.items()}
+    return {name: canonical(coeff * c) for name, coeff in x.items()}
 
 
 class GradedAlgebra:
@@ -69,7 +79,7 @@ class GradedAlgebra:
         self.table: dict[tuple[str, str], AlgebraElement] = {}
         for (a, b), value in products.items():
             self._check_names((a, b), value)
-            value = {k: Fraction(v) for k, v in value.items() if v}
+            value = {k: canonical(Fraction(v)) for k, v in value.items() if v}
             mirror = self.table.get((b, a))
             if mirror is not None and mirror != value:
                 raise ConfigError(
@@ -92,7 +102,7 @@ class GradedAlgebra:
             if self.degrees[name]:
                 continue
             if all(
-                self.table.get((name, other), {}) == {other: Fraction(1)}
+                self.table.get((name, other), {}) == {other: 1}
                 for other in self.basis
             ):
                 candidates.append(name)
@@ -116,8 +126,8 @@ class GradedAlgebra:
         for a in self.basis:
             for b in self.basis:
                 for c in self.basis:
-                    left = self.mul(self.table.get((a, b), {}), {c: Fraction(1)})
-                    right = self.mul({a: Fraction(1)}, self.table.get((b, c), {}))
+                    left = self.mul(self.table.get((a, b), {}), {c: 1})
+                    right = self.mul({a: 1}, self.table.get((b, c), {}))
                     if left != right:
                         raise ConfigError(
                             f"associativity fails on ({a}, {b}, {c})"
@@ -130,15 +140,15 @@ class GradedAlgebra:
         for a, ca in x.items():
             for b, cb in y.items():
                 for name, c in self.table.get((a, b), {}).items():
-                    s = out.get(name, Fraction(0)) + ca * cb * c
+                    s = out.get(name, 0) + ca * cb * c
                     if s:
-                        out[name] = s
+                        out[name] = canonical(s)
                     elif name in out:
                         del out[name]
         return out
 
     def unit_element(self) -> AlgebraElement:
-        return {self.unit: Fraction(1)}
+        return {self.unit: 1}
 
     def is_homogeneous(self, x: AlgebraElement, degree: int) -> bool:
         return all(self.degrees[name] == degree for name in x)
@@ -203,7 +213,7 @@ class BaseOperadConfig:
             return dict(x)
         out: AlgebraElement = {}
         for name, c in x.items():
-            image = stored.get(name, {name: Fraction(1)})
+            image = stored.get(name, {name: 1})
             out = elt_add(out, elt_scale(image, c))
         _ = algebra
         return out
@@ -286,12 +296,12 @@ def trivial_base() -> BaseOperadConfig:
 
     def factory(n: int) -> tuple[GradedAlgebra, list[AlgebraElement]]:
         algebra = GradedAlgebra(
-            [("one", 0)], {("one", "one"): {"one": Fraction(1)}}, label=f"Q(n={n})"
+            [("one", 0)], {("one", "one"): {"one": 1}}, label=f"Q(n={n})"
         )
         return algebra, [{} for _ in range(n + 1)]
 
     def clutch_factory(m: int, n: int, j: int):
-        return {("one", "one"): {"one": Fraction(1)}}
+        return {("one", "one"): {"one": 1}}
 
     return BaseOperadConfig("trivial", factory, clutch_factory)
 
@@ -303,19 +313,19 @@ def rank2_base() -> BaseOperadConfig:
         algebra = GradedAlgebra(
             [("one", 0), ("h", 1)],
             {
-                ("one", "one"): {"one": Fraction(1)},
-                ("one", "h"): {"h": Fraction(1)},
+                ("one", "one"): {"one": 1},
+                ("one", "h"): {"h": 1},
                 ("h", "h"): {},
             },
             label=f"Q[h]/h^2(n={n})",
         )
-        return algebra, [{"h": Fraction(1)} for _ in range(n + 1)]
+        return algebra, [{"h": 1} for _ in range(n + 1)]
 
     def clutch_factory(m: int, n: int, j: int):
         return {
-            ("one", "one"): {"one": Fraction(1)},
-            ("one", "h"): {"h": Fraction(1)},
-            ("h", "one"): {"h": Fraction(1)},
+            ("one", "one"): {"one": 1},
+            ("one", "h"): {"h": 1},
+            ("h", "one"): {"h": 1},
             ("h", "h"): {},
         }
 
@@ -361,9 +371,9 @@ def _parse_combo(text: str, line_no: int) -> AlgebraElement:
             coeff = Fraction(1)
         if not name or not name[0].isalpha():
             raise ConfigError(f"line {line_no}: bad basis name {name!r}")
-        s = out.get(name, Fraction(0)) + sign * coeff
+        s = out.get(name, 0) + sign * coeff
         if s:
-            out[name] = s
+            out[name] = canonical(s)
         elif name in out:
             del out[name]
     return out

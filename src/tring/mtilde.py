@@ -18,6 +18,12 @@ t0-free family monomials).  Composition comes in four shapes:
 The family slots are all even, so no Koszul signs appear anywhere; the
 permutation action moves slots and lets the config act on the base
 class.
+
+Terms are stored canonically, as in RT0Element: no zero coefficient is
+kept, and a coefficient is an int when it is integral and a Fraction only
+where a denominator appears.  The kernels read the base products straight
+from the algebra's structure-constant table, so over the built-in bases
+every step stays in int arithmetic.
 """
 
 from __future__ import annotations
@@ -27,11 +33,19 @@ from functools import lru_cache
 from itertools import product as iter_product
 from typing import Iterator, Mapping
 
-from .base import AlgebraElement, BaseOperadConfig, ConfigError
+from .base import AlgebraElement, BaseOperadConfig, ConfigError, canonical
 from .poly import Mono
-from .ring import _join_mono, _split_mono, interval_length, quasi_shuffle
+from .ring import (
+    Coeff,
+    _join_mono,
+    _split_mono,
+    interval_length,
+    nonzero_terms,
+    quasi_shuffle,
+)
 from .rt0 import (
     RT0Element,
+    _psi1_power,
     class_constants,
     dot_mul,
     dot_power,
@@ -64,7 +78,7 @@ class MTildeElement:
     def __init__(
         self,
         arity: int,
-        terms: Mapping[MTKey, Fraction] | None = None,
+        terms: Mapping[MTKey, Coeff] | None = None,
         rt0: RT0Element | None = None,
     ):
         if arity < 1:
@@ -77,7 +91,7 @@ class MTildeElement:
                 raise ValueError("arity-1 elements carry a ring element")
             return
         self.rt0 = None
-        normalized: dict[MTKey, Fraction] = {}
+        normalized: dict[MTKey, Coeff] = {}
         if terms:
             for (name, monos), coeff in terms.items():
                 if len(monos) != arity + 1:
@@ -87,10 +101,8 @@ class MTildeElement:
                 for mono in monos:
                     if interval_length(mono) is None or not all(var for var, _ in mono):
                         raise ValueError(f"invalid slot monomial {mono}")
-                c = Fraction(coeff)
-                if c:
-                    normalized[(name, monos)] = c
-        self.terms = normalized
+                normalized[(name, monos)] = Fraction(coeff)
+        self.terms = nonzero_terms(normalized)
 
     @classmethod
     def from_rt0(cls, x: RT0Element) -> "MTildeElement":
@@ -105,7 +117,7 @@ class MTildeElement:
         """The base unit with every slot equal to one."""
         algebra = base.algebra(arity)
         key = (algebra.unit, (MONO_ONE,) * (arity + 1))
-        return cls(arity, {key: Fraction(1)})
+        return cls._raw(arity, {key: 1})
 
     def is_zero(self) -> bool:
         if self.arity == 1:
@@ -119,28 +131,23 @@ class MTildeElement:
             return MTildeElement.from_rt0(self.rt0 + other.rt0)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            s = out.get(key, Fraction(0)) + coeff
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return MTildeElement._raw(self.arity, out)
+            out[key] = out.get(key, 0) + coeff
+        return MTildeElement._raw(self.arity, nonzero_terms(out))
 
     def __sub__(self, other: "MTildeElement") -> "MTildeElement":
         return self + other.scale(-1)
 
-    def scale(self, c: Fraction | int) -> "MTildeElement":
+    def scale(self, c: Coeff) -> "MTildeElement":
         c = Fraction(c)
         if self.arity == 1:
             return MTildeElement.from_rt0(self.rt0.scale(c))
-        if not c:
-            return MTildeElement.zero(self.arity)
         return MTildeElement._raw(
-            self.arity, {k: v * c for k, v in self.terms.items()}
+            self.arity, nonzero_terms({k: v * c for k, v in self.terms.items()})
         )
 
     @classmethod
-    def _raw(cls, arity: int, terms: dict[MTKey, Fraction]) -> "MTildeElement":
+    def _raw(cls, arity: int, terms: dict[MTKey, Coeff]) -> "MTildeElement":
+        """Wrap canonical terms (no zeros, integral coefficients as int)."""
         elt = cls.__new__(cls)
         elt.arity = arity
         elt.rt0 = None
@@ -173,14 +180,15 @@ class MTildeElement:
 
 
 def _add_term(
-    acc: dict[MTKey, Fraction], name: str, monos: tuple[Mono, ...], coeff: Fraction
+    acc: dict[MTKey, Coeff], name: str, monos: tuple[Mono, ...], coeff: Coeff
 ) -> None:
+    """Add coeff to the term (name, monos), keeping acc canonical."""
     if not coeff:
         return
     key = (name, monos)
-    s = acc.get(key, Fraction(0)) + coeff
+    s = acc.get(key, 0) + coeff
     if s:
-        acc[key] = s
+        acc[key] = canonical(s)
     elif key in acc:
         del acc[key]
 
@@ -191,6 +199,8 @@ def _mono_as_rt0(mono: Mono) -> RT0Element:
 
 def _mono_r_mul(a: Mono, b: Mono, memo: dict) -> list[tuple[Mono, int]]:
     """Family product of two slot monomials, on their keys."""
+    if not a or not b:  # most slots hold the unit monomial
+        return [(a or b, 1)]
     (ea, u), (eb, v) = _split_mono(a), _split_mono(b)
     return [(_join_mono(ea + eb, w), m) for w, m in quasi_shuffle(u, v, memo).items()]
 
@@ -203,17 +213,17 @@ def mt_mul(
         raise ValueError("arities differ")
     if x.arity == 1:
         return MTildeElement.from_rt0(dot_mul(x.rt0, y.rt0))
-    algebra = base.algebra(x.arity)
-    out: dict[MTKey, Fraction] = {}
+    table = base.algebra(x.arity).table
+    out: dict[MTKey, Coeff] = {}
     memo: dict = {}
     for (name_x, monos_x), cx in x.terms.items():
         for (name_y, monos_y), cy in y.terms.items():
-            base_part = algebra.mul({name_x: Fraction(1)}, {name_y: Fraction(1)})
+            base_part = table.get((name_x, name_y))
             if not base_part:
                 continue
-            expansions: list[tuple[tuple[Mono, ...], Fraction]] = [((), cx * cy)]
+            expansions: list[tuple[tuple[Mono, ...], Coeff]] = [((), cx * cy)]
             for slot in range(x.arity + 1):
-                grown: list[tuple[tuple[Mono, ...], Fraction]] = []
+                grown: list[tuple[tuple[Mono, ...], Coeff]] = []
                 for mono, c in _mono_r_mul(monos_x[slot], monos_y[slot], memo):
                     for monos_acc, coeff_acc in expansions:
                         grown.append((monos_acc + (mono,), coeff_acc * c))
@@ -243,7 +253,7 @@ def _slot_insert(
     slot: int,
     slot_mono: Mono,
     argument: RT0Element,
-) -> list[tuple[str, Mono, Fraction]]:
+) -> list[tuple[str, Mono, Coeff]]:
     """Multiply a slot monomial by an arity-one argument and substitute
     t0 by the slot's phi class; returns (base name, slot monomial, coeff)
     triples.  Memoised on the config, keyed by the exact inputs."""
@@ -276,13 +286,11 @@ def compose(
     if m == 1 and n == 1:
         return MTildeElement.from_rt0(odot(x.rt0, y.rt0))
     if m >= 2 and n == 1:
-        out: dict[MTKey, Fraction] = {}
-        algebra = base.algebra(m)
+        out: dict[MTKey, Coeff] = {}
+        table = base.algebra(m).table
         for (name, monos), c in x.terms.items():
             for pname, mono_r, coeff in _slot_insert(base, m, j, monos[j], y.rt0):
-                for bname, cb in algebra.mul(
-                    {name: Fraction(1)}, {pname: Fraction(1)}
-                ).items():
+                for bname, cb in table.get((name, pname), {}).items():
                     _add_term(
                         out,
                         bname,
@@ -294,13 +302,11 @@ def compose(
         if j != 1:
             raise ValueError("an arity-one element has a single slot")
         out = {}
-        algebra = base.algebra(n)
+        table = base.algebra(n).table
         twisted = _iota_cached(x.rt0)
         for (name, monos), c in y.terms.items():
             for pname, mono_r, coeff in _slot_insert(base, n, 0, monos[0], twisted):
-                for bname, cb in algebra.mul(
-                    {name: Fraction(1)}, {pname: Fraction(1)}
-                ).items():
+                for bname, cb in table.get((name, pname), {}).items():
                     _add_term(
                         out, bname, (mono_r,) + monos[1:], c * coeff * cb
                     )
@@ -314,9 +320,7 @@ def compose(
         for (name_y, monos_y), cy in y.terms.items():
             if monos_y[0] != MONO_ONE:
                 continue
-            clutched = base.clutch(
-                m, n, j, {name_x: Fraction(1)}, {name_y: Fraction(1)}
-            )
+            clutched = base.clutch(m, n, j, {name_x: 1}, {name_y: 1})
             new_monos = monos_x[:j] + monos_y[1:] + monos_x[j + 1 :]
             for bname, cb in clutched.items():
                 _add_term(out, bname, new_monos, cx * cy * cb)
@@ -336,10 +340,10 @@ def act(
     inverse = [0] * (n + 1)
     for i, value in enumerate(perm):
         inverse[value] = i
-    out: dict[MTKey, Fraction] = {}
+    out: dict[MTKey, Coeff] = {}
     for (name, monos), c in x.terms.items():
         new_monos = tuple(monos[inverse[i]] for i in range(n + 1))
-        for bname, cb in base.act(n, perm, {name: Fraction(1)}).items():
+        for bname, cb in base.act(n, perm, {name: 1}).items():
             _add_term(out, bname, new_monos, c * cb)
     return MTildeElement._raw(n, out)
 
@@ -365,14 +369,14 @@ def psi_phi_classes(
         raise ValueError(f"slot {slot} outside 0..{n}")
     phi_class = base.phi(n, slot)
     ones = (MONO_ONE,) * (n + 1)
-    phi_terms: dict[MTKey, Fraction] = {}
+    phi_terms: dict[MTKey, Coeff] = {}
     for name, c in phi_class.items():
         _add_term(phi_terms, name, ones, c)
     phi_tilde = MTildeElement._raw(n, phi_terms)
     algebra = base.algebra(n)
     t1_slot = ones[:slot] + (((1, 1),),) + ones[slot + 1 :]
-    t1_terms: dict[MTKey, Fraction] = {}
-    _add_term(t1_terms, algebra.unit, t1_slot, Fraction(1))
+    t1_terms: dict[MTKey, Coeff] = {}
+    _add_term(t1_terms, algebra.unit, t1_slot, 1)
     psi_tilde = phi_tilde + MTildeElement._raw(n, t1_terms)
     return psi_tilde, phi_tilde
 
@@ -386,7 +390,7 @@ def morphism_F(
         return MTildeElement.zero(1)
     algebra = base.algebra(n)
     ones = (MONO_ONE,) * (n + 1)
-    out: dict[MTKey, Fraction] = {}
+    out: dict[MTKey, Coeff] = {}
     for name, c in xi.items():
         if name not in algebra.degrees:
             raise ConfigError(f"unknown basis name {name!r}")
@@ -410,13 +414,20 @@ def important_b_check(
     if not (1 <= j <= n and d[j] >= 1):
         raise ValueError("slot j must carry a positive psi exponent")
     classes = [psi_phi_classes(n, i, base) for i in range(n + 1)]
+    # the three products below share most of their factors
+    powers: dict[tuple[int, int, int], MTildeElement] = {}
 
     def product(dd: tuple[int, ...], ee: tuple[int, ...]) -> MTildeElement:
         acc = MTildeElement.unit_tensor(n, base)
         for i in range(n + 1):
-            psi_i, phi_i = classes[i]
-            acc = mt_mul(acc, mt_power(psi_i, dd[i], base), base)
-            acc = mt_mul(acc, mt_power(phi_i, ee[i], base), base)
+            for kind, exp in ((0, dd[i]), (1, ee[i])):
+                if not exp:
+                    continue
+                factor = powers.get((i, kind, exp))
+                if factor is None:
+                    factor = mt_power(classes[i][kind], exp, base)
+                    powers[i, kind, exp] = factor
+                acc = mt_mul(acc, factor, base)
         return acc
 
     lhs = product(d, e)
@@ -426,9 +437,7 @@ def important_b_check(
     d_rest = tuple(0 if i == j else di for i, di in enumerate(d))
     e_rest = tuple(e[i] if i != j else e[j] for i in range(n + 1))
     rest = product(d_rest, e_rest)
-    argument = MTildeElement.from_rt0(
-        dot_power(RT0Element.from_text("t0+t1"), d[j] - 1)
-    )
+    argument = MTildeElement.from_rt0(_psi1_power(d[j] - 1))
     rhs = rhs + compose(rest, argument, j, base)
     return lhs == rhs
 
@@ -484,7 +493,7 @@ def spanning_elements(
     monos = _t0_free_monomials_upto(max_degree)
     tuples = _slot_tuples(arity + 1, max_degree, monos)
     return [
-        MTildeElement._raw(arity, {(name, monos_tuple): Fraction(1)})
+        MTildeElement._raw(arity, {(name, monos_tuple): 1})
         for name in algebra.basis
         for monos_tuple in tuples
     ]
@@ -507,28 +516,39 @@ def operad_axiom_check(
 ) -> dict[str, AxiomReport]:
     """Verify the four cyclic-operad axioms over the given base on
     spanning sets of bounded slot degree; the family slots are even so
-    all four axioms are sign-free here."""
+    all four axioms are sign-free here.
+
+    Every element the checks see is hash-consed (Filliatre-Conchon,
+    "Type-safe modular hash-consing", 2006): the run keeps one object per
+    value, so the memos are keyed by identity and the two sides of an
+    axiom are equal exactly when they are the same object.  The table
+    keeps every object alive for the run, so no id() is reused."""
+    interned: dict[MTildeElement, MTildeElement] = {}
+
+    def intern(x: MTildeElement) -> MTildeElement:
+        return interned.setdefault(x, x)
+
     spanning = {
-        arity: spanning_elements(arity, base, max_degree)
+        arity: [intern(x) for x in spanning_elements(arity, base, max_degree)]
         for arity in range(1, max_arity + 1)
     }
 
-    compose_cache: dict = {}
-    act_cache: dict = {}
+    compose_cache: dict[tuple[int, int, int], MTildeElement] = {}
+    act_cache: dict[tuple[tuple[int, ...], int], MTildeElement] = {}
 
     def ccompose(x: MTildeElement, y: MTildeElement, j: int) -> MTildeElement:
-        key = (x, y, j)
+        key = (id(x), id(y), j)
         result = compose_cache.get(key)
         if result is None:
-            result = compose(x, y, j, base)
+            result = intern(compose(x, y, j, base))
             compose_cache[key] = result
         return result
 
     def cact(perm: tuple[int, ...], x: MTildeElement) -> MTildeElement:
-        key = (perm, x)
+        key = (perm, id(x))
         result = act_cache.get(key)
         if result is None:
-            result = act(perm, x, base)
+            result = intern(act(perm, x, base))
             act_cache[key] = result
         return result
 
@@ -537,7 +557,7 @@ def operad_axiom_check(
             for x, y in iter_product(spanning[m], spanning[n]):
                 lhs = cact(sigma, ccompose(x, y, j))
                 rhs = ccompose(cact(pi, x), cact(rho, y), pi[j])
-                yield None if lhs == rhs else (
+                yield None if lhs is rhs else (
                     f"m={m} n={n} j={j} pi={pi} rho={rho} "
                     f"x={_describe(x)} y={_describe(y)}"
                 )
@@ -547,7 +567,7 @@ def operad_axiom_check(
             for x, y in iter_product(spanning[m], spanning[n]):
                 lhs = cact(tau_out, ccompose(x, y, m))
                 rhs = ccompose(cact(tau_n, y), cact(tau_m, x), 1)
-                yield None if lhs == rhs else (
+                yield None if lhs is rhs else (
                     f"m={m} n={n} x={_describe(x)} y={_describe(y)}"
                 )
 
@@ -562,14 +582,14 @@ def operad_axiom_check(
             for a, b, c in iter_product(spanning[k], spanning[l], spanning[m]):
                 lhs = ccompose(ccompose(a, b, i), c, j_after)
                 rhs = ccompose(ccompose(a, c, j), b, i)
-                yield None if lhs == rhs else describe3(k, l, m, i, j, a, b, c)
+                yield None if lhs is rhs else describe3(k, l, m, i, j, a, b, c)
 
     def axiom4() -> Iterator[str | None]:
         for k, l, m, i, j, j_after in axiom4_indices(max_arity):
             for a, b, c in iter_product(spanning[k], spanning[l], spanning[m]):
                 lhs = ccompose(ccompose(a, b, i), c, j_after)
                 rhs = ccompose(a, ccompose(b, c, j), i)
-                yield None if lhs == rhs else describe3(k, l, m, i, j, a, b, c)
+                yield None if lhs is rhs else describe3(k, l, m, i, j, a, b, c)
 
     return {
         "axiom1": tally(axiom1()),

@@ -77,6 +77,33 @@ def test_tracer_counts_the_terms_of_odot(capsys):
     assert t.figures()["rt0.odot.terms_out"] == len(printed.terms)
 
 
+def test_tracer_sees_the_operad_kernels():
+    # the tracer reads these figures with a silent default of 0, so a
+    # refactor that bypasses the bound names would zero them unnoticed
+    from tring.base import trivial_base
+    from tring.mtilde import important_b_check
+    from tring.verify import Bounds, run_suite
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        report = run_suite("operad-axioms", Bounds(max_arity=2, max_degree=1))
+    finally:
+        t.restore()
+    assert report.all_passed()
+    figures = t.figures()
+    assert figures["mtilde.compose.calls"] > 0
+    assert figures["mtilde.slot_insert_cache.entries"] > 0
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert important_b_check(2, (0, 2, 1), (1, 0, 0), 1, trivial_base())
+    finally:
+        t.restore()
+    assert t.figures()["mtilde.mt_mul.calls"] > 0
+
+
 def _tring_imports(path):
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tring":

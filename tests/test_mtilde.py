@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
-from tring.base import rank2_base, trivial_base
+from tring.base import BaseOperadConfig, GradedAlgebra, rank2_base, trivial_base
 from tring.mtilde import (
     MTildeElement,
     act,
@@ -208,3 +209,109 @@ def test_compose_validation():
         compose(MT1("1"), tensor(2, "one", "1", "1", "1"), 2, base)
     with pytest.raises(ValueError):
         compose(tensor(2, "one", "1", "1", "1"), MT1("1"), 3, base)
+
+
+# -- canonical coefficients and a base with rational constants -------------
+
+
+def half_phi_base():
+    """rank2_base with phi = h/2 in every slot, so that denominators reach
+    the operad kernels and the Fraction path stays exercised."""
+
+    def factory(n):
+        algebra = GradedAlgebra(
+            [("one", 0), ("h", 1)],
+            {("one", "one"): {"one": 1}, ("one", "h"): {"h": 1}, ("h", "h"): {}},
+            label=f"Q[h]/h^2(n={n})",
+        )
+        return algebra, [{"h": Fraction(1, 2)} for _ in range(n + 1)]
+
+    def clutch_factory(m, n, j):
+        return {
+            ("one", "one"): {"one": 1},
+            ("one", "h"): {"h": 1},
+            ("h", "one"): {"h": 1},
+            ("h", "h"): {},
+        }
+
+    return BaseOperadConfig("half-phi", factory, clutch_factory)
+
+
+BASES = {"trivial": trivial_base, "rank2": rank2_base, "half-phi": half_phi_base}
+
+
+def assert_canonical(x):
+    terms = x.rt0.terms if x.arity == 1 else x.terms
+    for c in terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+@pytest.mark.parametrize("base_name", sorted(BASES))
+def test_operations_keep_canonical_coefficients(base_name):
+    base = BASES[base_name]()
+    psi, phi = psi_phi_classes(2, 1, base)
+    psi0, _ = psi_phi_classes(2, 0, base)
+    outer = tensor(2, "one", "1", "1", "1") + phi
+    results = [
+        psi + phi,
+        psi - phi,
+        psi - psi,
+        phi.scale(2),
+        psi.scale(Fraction(1, 2)),
+        psi.scale(0),
+        mt_mul(psi, psi, base),
+        mt_mul(psi, psi0, base),
+        compose(MT1("t0"), MT1("t0+t1"), 1, base),
+        compose(psi, MT1("t0"), 1, base),
+        compose(psi.scale(2), MT1("t0^2"), 1, base),
+        compose(MT1("t0"), psi0, 1, base),
+        compose(outer, outer, 1, base),
+        compose(outer, phi.scale(2), 2, base),
+        act((0, 2, 1), psi, base),
+        act((1, 0), MT1("t0"), base),
+    ]
+    for x in results:
+        assert_canonical(x)
+    assert (psi - psi).terms == {}
+
+
+HALF_PHI_CASES = [
+    (2, (0, 1, 0), (0, 0, 0), 1),
+    (2, (0, 2, 1), (1, 0, 0), 1),
+    (3, (0, 1, 1, 0), (0, 0, 0, 0), 2),
+    (2, (0, 2, 0), (0, 0, 0), 1),
+    (2, (1, 1, 0), (0, 0, 1), 1),
+    (3, (0, 0, 2, 0), (0, 1, 0, 0), 2),
+]
+
+
+@pytest.mark.parametrize("n,d,e,j", HALF_PHI_CASES)
+def test_important_b_half_phi(n, d, e, j):
+    assert important_b_check(n, d, e, j, half_phi_base())
+
+
+def test_axioms_half_phi():
+    reports = operad_axiom_check(half_phi_base(), max_arity=2, max_degree=1)
+    counts = {name: report.checked for name, report in reports.items()}
+    assert counts == {"axiom1": 665, "axiom2": 121, "axiom3": 968, "axiom4": 3971}
+    for name, report in reports.items():
+        assert report.ok, f"{name}: {report.counterexample}"
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 2)])
+def test_kernels_are_bilinear_over_a_rational_base(q):
+    base = half_phi_base()
+    small = spanning_elements(1, base, 1) + [MT1("t0+t1")]
+    big = spanning_elements(2, base, 1) + list(psi_phi_classes(2, 1, base))
+    # every pair meets in one of the four composition shapes
+    for x, y in iter_product(small + big, repeat=2):
+        for j in range(1, x.arity + 1):
+            expected = compose(x, y, j, base).scale(q)
+            assert compose(x.scale(q), y, j, base) == expected
+            assert compose(x, y.scale(q), j, base) == expected
+    for x in big:
+        for y in big:
+            expected = mt_mul(x, y, base).scale(q)
+            assert mt_mul(x.scale(q), y, base) == expected
+            assert mt_mul(x, y.scale(q), base) == expected

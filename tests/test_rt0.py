@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from graphlib import TopologicalSorter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from tring.poly import (
 )
 from tring.ring import (
     RElement,
+    _split_mono,
     check_component,
     decode_components,
     decode_rd,
@@ -23,7 +25,9 @@ from tring.ring import (
     r_mul,
 )
 from tring.rt0 import (
+    MAX_BASIS_DEGREE,
     ConsistencyError,
+    _basis_matrix,
     _concatenation,
     InvalidElementError,
     RT0Element,
@@ -377,6 +381,30 @@ def test_basis_roundtrip_degree_le_3():
                 for word, coeff in expansion.items():
                     rebuilt = rebuilt + evaluate(word).scale(coeff)
                 assert rebuilt == x
+
+
+@pytest.mark.parametrize("kind", ["structure", "iota-basis"])
+def test_word_basis_matrix_is_unitriangular_up_to_permutation(kind):
+    # the word (a1, ..., ar) pivots on t0^a1 * t1^(a2+1) ... t_{r-1}^(ar+1):
+    # the pivots are a bijection onto the monomials, each pivot entry is 1,
+    # and "column w has a nonzero entry in the pivot row of w'" is acyclic,
+    # so a simultaneous permutation makes the matrix unitriangular
+    for n in range(MAX_BASIS_DEGREE + 1):
+        matrix, words, monos = _basis_matrix(n, kind)
+        row_of = {split: i for i, split in enumerate(map(_split_mono, monos))}
+        pivot = {w: row_of[(w[0], tuple(a + 1 for a in w[1:]))] for w in words}
+        assert sorted(pivot.values()) == list(range(len(monos)))
+        word_of_row = {row: w for w, row in pivot.items()}
+        graph = {}
+        for col, w in enumerate(words):
+            assert matrix[pivot[w]][col] == 1, (n, w)
+            graph[w] = {
+                word_of_row[row]
+                for row in range(len(monos))
+                if row != pivot[w] and matrix[row][col]
+            }
+        order = list(TopologicalSorter(graph).static_order())  # CycleError if not
+        assert len(order) == len(words)
 
 
 def test_iota_maps_bases_to_each_other():
