@@ -259,12 +259,22 @@ def test_criterion_9_exchange_over_bases():
                                         ), f"n={n} d={d} e={e} j={j}"
 
 
+# per-axiom case counts at the default arity bound 3
+SUPER_AXIOM_COUNTS = {
+    1: (207, 9, 36, 108),
+    2: (18792, 392, 10976, 32368),
+    3: (288225, 4563, 410670, 1217268),
+}
+
+
 def test_criterion_10_super_operad():
     with Budget("criterion 10 (graded operad axioms + pairing exchange)", 120.0):
         for dim in (1, 2, 3):
             reports = es_axiom_check(mixed_space(dim), max_arity=3)
             for name, report in reports.items():
                 assert report.ok, f"dim={dim} {name}: {report.counterexample}"
+            counts = tuple(reports[f"axiom{i}"].checked for i in range(1, 5))
+            assert counts == SUPER_AXIOM_COUNTS[dim]
             ok, checked, witness = vowa_exhaustive(mixed_space(dim), max_arity=3)
             assert ok, witness
             assert checked > 0
@@ -275,6 +285,8 @@ def test_criterion_11_extended_operad_axioms():
         reports = operad_axiom_check(trivial_base(), max_arity=3, max_degree=2)
         for name, report in reports.items():
             assert report.ok, f"{name}: {report.counterexample}"
+        counts = tuple(reports[f"axiom{i}"].checked for i in range(1, 5))
+        assert counts == (58947, 1521, 106470, 315900)
 
 
 def test_criterion_12_verify_all_cli():

@@ -59,6 +59,29 @@ def test_unsigned_compose_fails_super_suite(capsys, monkeypatch):
     assert out.endswith("suite=super passed=9 failed=3 total=12 seed=0\n")
 
 
+def test_vanishing_contraction_fails_super_suite(capsys, monkeypatch):
+    # a composition that cannot be formed fails its case; it is neither an
+    # internal crash nor equal to another one that cannot be formed
+    compose_raw = superops._compose_raw
+
+    def vanishing(space, v, w, j):
+        return None if len(v) + len(w) - 2 >= 4 else compose_raw(space, v, w, j)
+
+    monkeypatch.setattr(superops, "_compose_raw", vanishing)
+    code, out = run_cli(capsys, "verify", "super", "--dim", "2", "--max-arity", "2")
+    assert code == 1
+    assert [line for line in fail_lines(out) if "mixed dim=2" in line] == [
+        "FAIL axiom1 mixed dim=2 arity<=2 checked=360  [m=2 n=2 j=1 pi=(0, 1, 2)"
+        " rho=(0, 1, 2) v=(0, 0, 0) w=(1, 0, 0)]",
+        "FAIL axiom2 mixed dim=2 arity<=2 checked=72  [m=2 n=2 v=(0, 0, 0) w=(1, 0, 0)]",
+        "FAIL axiom3 mixed dim=2 arity<=2 checked=288  [k=2 l=1 m=2 i=1 j=2"
+        " a=(0, 0, 0) b=(1, 0) c=(1, 0, 0)]",
+        "FAIL axiom4 mixed dim=2 arity<=2 checked=1200  [k=1 l=2 m=2 i=1 j=1"
+        " a=(0, 0) b=(1, 0, 0) c=(1, 0, 0)]",
+    ]
+    assert out.endswith("suite=super passed=0 failed=12 total=12 seed=0\n")
+
+
 def test_doubled_slot_insertion_fails_mtilde_suites(capsys, monkeypatch):
     compose = mtilde.compose
 
