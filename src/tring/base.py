@@ -207,7 +207,7 @@ class BaseOperadConfig:
         return dict(classes[slot])
 
     def act(self, n: int, perm: Perm, x: AlgebraElement) -> AlgebraElement:
-        algebra = self.algebra(n)
+        self.algebra(n)  # validates the arity
         stored = self._actions.get(n, {}).get(perm)
         if stored is None:
             return dict(x)
@@ -215,7 +215,6 @@ class BaseOperadConfig:
         for name, c in x.items():
             image = stored.get(name, {name: 1})
             out = elt_add(out, elt_scale(image, c))
-        _ = algebra
         return out
 
     def clutch(

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .base import AlgebraElement, BaseOperadConfig, ConfigError, canonical
-from .poly import Mono
+from .poly import Mono, mono_degree, mono_str
 from .ring import (
     Coeff,
     _join_mono,
@@ -50,17 +49,11 @@ from .rt0 import (
     dot_mul,
     dot_power,
     iota,
+    monomials_of_degree,
     odot,
     substitute_class,
 )
-from .superops import (
-    AxiomReport,
-    axiom1_indices,
-    axiom2_indices,
-    axiom3_indices,
-    axiom4_indices,
-    tally,
-)
+from .superops import AxiomReport, cyclic_axiom_check
 
 # the involution is hit with the same few arguments over and over when
 # axiom suites run; elements are immutable, so caching is safe
@@ -448,8 +441,6 @@ def important_b_check(
 
 
 def _t0_free_monomials_upto(max_degree: int) -> list[Mono]:
-    from .rt0 import monomials_of_degree
-
     out: list[Mono] = []
     for degree in range(max_degree + 1):
         for mono in monomials_of_degree(degree):
@@ -461,8 +452,6 @@ def _t0_free_monomials_upto(max_degree: int) -> list[Mono]:
 def _slot_tuples(
     slots: int, max_degree: int, monos: list[Mono]
 ) -> list[tuple[Mono, ...]]:
-    from .poly import mono_degree
-
     out: list[tuple[Mono, ...]] = [()]
     for _ in range(slots):
         grown = []
@@ -482,8 +471,6 @@ def spanning_elements(
     monomials of the t0-ring; above, every base basis class tensored with
     every slot tuple of bounded total degree."""
     if arity == 1:
-        from .rt0 import monomials_of_degree
-
         out = []
         for degree in range(max_degree + 1):
             for mono in monomials_of_degree(degree):
@@ -502,8 +489,6 @@ def spanning_elements(
 def _describe(x: MTildeElement) -> str:
     if x.arity == 1:
         return str(x.rt0)
-    from .poly import mono_str
-
     parts = []
     for (name, monos), c in sorted(x.terms.items()):
         slots = ",".join(mono_str(m) for m in monos)
@@ -515,14 +500,16 @@ def operad_axiom_check(
     base: BaseOperadConfig, max_arity: int = 3, max_degree: int = 2
 ) -> dict[str, AxiomReport]:
     """Verify the four cyclic-operad axioms over the given base on
-    spanning sets of bounded slot degree; the family slots are even so
-    all four axioms are sign-free here.
+    spanning sets of bounded slot degree, through
+    :func:`tring.superops.cyclic_axiom_check`; the family slots are even
+    so all four axioms are sign-free here, and every composition forms.
 
     Every element the checks see is hash-consed (Filliatre-Conchon,
     "Type-safe modular hash-consing", 2006): the run keeps one object per
     value, so the memos are keyed by identity and the two sides of an
     axiom are equal exactly when they are the same object.  The table
-    keeps every object alive for the run, so no id() is reused."""
+    keeps every object alive for the run, so no id() is reused.  The memo
+    callbacks look ``compose`` and ``act`` up in this module per call."""
     interned: dict[MTildeElement, MTildeElement] = {}
 
     def intern(x: MTildeElement) -> MTildeElement:
@@ -540,60 +527,14 @@ def operad_axiom_check(
         key = (id(x), id(y), j)
         result = compose_cache.get(key)
         if result is None:
-            result = intern(compose(x, y, j, base))
-            compose_cache[key] = result
+            result = compose_cache[key] = intern(compose(x, y, j, base))
         return result
 
     def cact(perm: tuple[int, ...], x: MTildeElement) -> MTildeElement:
         key = (perm, id(x))
         result = act_cache.get(key)
         if result is None:
-            result = intern(act(perm, x, base))
-            act_cache[key] = result
+            result = act_cache[key] = intern(act(perm, x, base))
         return result
 
-    def axiom1() -> Iterator[str | None]:
-        for m, n, j, pi, rho, sigma in axiom1_indices(max_arity):
-            for x, y in iter_product(spanning[m], spanning[n]):
-                lhs = cact(sigma, ccompose(x, y, j))
-                rhs = ccompose(cact(pi, x), cact(rho, y), pi[j])
-                yield None if lhs is rhs else (
-                    f"m={m} n={n} j={j} pi={pi} rho={rho} "
-                    f"x={_describe(x)} y={_describe(y)}"
-                )
-
-    def axiom2() -> Iterator[str | None]:
-        for m, n, tau_m, tau_n, tau_out in axiom2_indices(max_arity):
-            for x, y in iter_product(spanning[m], spanning[n]):
-                lhs = cact(tau_out, ccompose(x, y, m))
-                rhs = ccompose(cact(tau_n, y), cact(tau_m, x), 1)
-                yield None if lhs is rhs else (
-                    f"m={m} n={n} x={_describe(x)} y={_describe(y)}"
-                )
-
-    def describe3(k, l, m, i, j, a, b, c) -> str:
-        return (
-            f"k={k} l={l} m={m} i={i} j={j} "
-            f"a={_describe(a)} b={_describe(b)} c={_describe(c)}"
-        )
-
-    def axiom3() -> Iterator[str | None]:
-        for k, l, m, i, j, j_after in axiom3_indices(max_arity):
-            for a, b, c in iter_product(spanning[k], spanning[l], spanning[m]):
-                lhs = ccompose(ccompose(a, b, i), c, j_after)
-                rhs = ccompose(ccompose(a, c, j), b, i)
-                yield None if lhs is rhs else describe3(k, l, m, i, j, a, b, c)
-
-    def axiom4() -> Iterator[str | None]:
-        for k, l, m, i, j, j_after in axiom4_indices(max_arity):
-            for a, b, c in iter_product(spanning[k], spanning[l], spanning[m]):
-                lhs = ccompose(ccompose(a, b, i), c, j_after)
-                rhs = ccompose(a, ccompose(b, c, j), i)
-                yield None if lhs is rhs else describe3(k, l, m, i, j, a, b, c)
-
-    return {
-        "axiom1": tally(axiom1()),
-        "axiom2": tally(axiom2()),
-        "axiom3": tally(axiom3()),
-        "axiom4": tally(axiom4()),
-    }
+    return cyclic_axiom_check(max_arity, spanning, ccompose, cact, _describe)

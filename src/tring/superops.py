@@ -8,15 +8,21 @@ two parities it swaps.  The checker functions enumerate basis tensors
 exhaustively within small bounds, so they double as the test suite for
 the four cyclic-operad axioms and for the pairing/composition exchange
 identity.
+
+The four axioms are written once, in :func:`cyclic_axiom_check`, for any
+operad given as elements per arity with callbacks that compose, act on
+and describe them; a composition that cannot be formed is None, and its
+case fails.  :func:`es_axiom_check` is the adapter for this operad and
+:func:`tring.mtilde.operad_axiom_check` the one for the extended operad.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import solve_exact
 
@@ -437,45 +443,112 @@ def _cycle(n: int) -> BasisTuple:
     return tuple((i + 1) % (n + 1) for i in range(n + 1))
 
 
-# The index shapes of the four axioms, shared by every checker; each
-# checker runs its own element enumeration inside them.
+def cyclic_axiom_check(
+    max_arity: int,
+    elements: Mapping[int, Sequence[Any]],
+    compose: Callable[[Any, Any, int], Any],
+    act: Callable[[BasisTuple, Any], Any],
+    describe: Callable[[Any], str],
+    pair_names: tuple[str, str] = ("x", "y"),
+    operands: Callable[[Any, int, int], Iterable[Any]] | None = None,
+    exchange: Callable[[Any, Any, Any], Any] = lambda x, y, z: z,
+) -> dict[str, AxiomReport]:
+    """Check the four cyclic-operad axioms (Getzler-Kapranov, "Cyclic
+    operads and cyclic homology", 1995) on the elements of arity
+    1..max_arity.
 
+    ``compose(x, y, j)`` inserts y into slot j of x, or returns None when
+    that composition cannot be formed; ``act(perm, x)`` permutes slots
+    0..arity.  ``operands(x, j, n)`` lists the arity-n elements to insert
+    into slot j of x (default: all), and ``exchange(x, y, z)`` gives z the
+    sign of swapping x and y (default: none; None passes through).  A case
+    holds when both sides are formed and equal, so a None side fails it.
+    A failing case names its elements by ``describe``, and the two of the
+    binary axioms by ``pair_names``."""
+    operands = operands or (lambda x, j, n: elements[n])
+    arities = range(1, max_arity + 1)
+    p, q = pair_names
 
-def axiom1_indices(max_arity: int) -> Iterator[tuple]:
-    """(m, n, j, pi, rho, sigma): equivariance of composing at slot j."""
-    for m in range(1, max_arity + 1):
-        for n in range(1, max_arity + 1):
-            for j in range(1, m + 1):
-                for pi in _perms_fixing_zero(m):
-                    for rho in _perms_fixing_zero(n):
-                        yield m, n, j, pi, rho, compose_permutations(pi, rho, j, m, n)
+    def holds(lhs: Any, rhs: Any) -> bool:
+        # identity first: an adapter that interns its results hands back
+        # one object for equal sides
+        return lhs is not None and rhs is not None and (lhs is rhs or lhs == rhs)
 
+    def axiom1() -> Iterator[str | None]:
+        # equivariance: permuting a composition equals composing the
+        # permuted arguments at the permuted slot
+        for m, n in iter_product(arities, arities):
+            perms = iter_product(_perms_fixing_zero(m), _perms_fixing_zero(n))
+            for j, (pi, rho) in iter_product(range(1, m + 1), perms):
+                sigma = compose_permutations(pi, rho, j, m, n)
+                for x in elements[m]:
+                    x_pi = act(pi, x)
+                    for y in operands(x, j, n):
+                        xy = compose(x, y, j)
+                        lhs = None if xy is None else act(sigma, xy)
+                        rhs = compose(x_pi, act(rho, y), pi[j])
+                        yield None if holds(lhs, rhs) else (
+                            f"m={m} n={n} j={j} pi={pi} rho={rho} "
+                            f"{p}={describe(x)} {q}={describe(y)}"
+                        )
 
-def axiom2_indices(max_arity: int) -> Iterator[tuple]:
-    """(m, n, tau_m, tau_n, tau_out): rotation of the outermost slot."""
-    for m in range(1, max_arity + 1):
-        for n in range(1, max_arity + 1):
-            yield m, n, _cycle(m), _cycle(n), _cycle(m + n - 1)
+    def axiom2() -> Iterator[str | None]:
+        # rotation exchanges the outermost composition
+        for m, n in iter_product(arities, arities):
+            tau_m, tau_n, tau_out = _cycle(m), _cycle(n), _cycle(m + n - 1)
+            for x in elements[m]:
+                x_tau = act(tau_m, x)
+                for y in operands(x, m, n):
+                    xy = compose(x, y, m)
+                    lhs = None if xy is None else act(tau_out, xy)
+                    rhs = exchange(x, y, compose(act(tau_n, y), x_tau, 1))
+                    yield None if holds(lhs, rhs) else (
+                        f"m={m} n={n} {p}={describe(x)} {q}={describe(y)}"
+                    )
 
+    def describe3(k, l, m, i, j, a, b, c) -> str:
+        return (
+            f"k={k} l={l} m={m} i={i} j={j} "
+            f"a={describe(a)} b={describe(b)} c={describe(c)}"
+        )
 
-def axiom3_indices(max_arity: int) -> Iterator[tuple[int, ...]]:
-    """(k, l, m, i, j, j+l-1): disjoint slots i < j of the arity-k factor."""
-    for k in range(2, max_arity + 1):
-        for l in range(1, max_arity + 1):
-            for m in range(1, max_arity + 1):
-                for i in range(1, k + 1):
-                    for j in range(i + 1, k + 1):
-                        yield k, l, m, i, j, j + l - 1
+    def axiom3() -> Iterator[str | None]:
+        # disjoint slots i < j of a compose in either order
+        for k, l, m in iter_product(range(2, max_arity + 1), arities, arities):
+            for i, j in combinations(range(1, k + 1), 2):
+                for a in elements[k]:
+                    # composing c into slot j does not depend on b
+                    later = [(c, compose(a, c, j)) for c in operands(a, j, m)]
+                    for b in operands(a, i, l):
+                        ab = compose(a, b, i)
+                        for c, ac in later:
+                            lhs = None if ab is None else compose(ab, c, j + l - 1)
+                            rhs = None if ac is None else compose(ac, b, i)
+                            yield None if holds(lhs, exchange(b, c, rhs)) else (
+                                describe3(k, l, m, i, j, a, b, c)
+                            )
 
+    def axiom4() -> Iterator[str | None]:
+        # nested slots associate: c into slot j of b, which enters slot i
+        for k, l, m in iter_product(arities, arities, arities):
+            for i, j in iter_product(range(1, k + 1), range(1, l + 1)):
+                for a in elements[k]:
+                    for b in operands(a, i, l):
+                        ab = compose(a, b, i)
+                        for c in operands(b, j, m):
+                            bc = compose(b, c, j)
+                            lhs = None if ab is None else compose(ab, c, i + j - 1)
+                            rhs = None if bc is None else compose(a, bc, i)
+                            yield None if holds(lhs, rhs) else (
+                                describe3(k, l, m, i, j, a, b, c)
+                            )
 
-def axiom4_indices(max_arity: int) -> Iterator[tuple[int, ...]]:
-    """(k, l, m, i, j, i+j-1): slot j of the factor entering slot i."""
-    for k in range(1, max_arity + 1):
-        for l in range(1, max_arity + 1):
-            for m in range(1, max_arity + 1):
-                for i in range(1, k + 1):
-                    for j in range(1, l + 1):
-                        yield k, l, m, i, j, i + j - 1
+    return {
+        "axiom1": tally(axiom1()),
+        "axiom2": tally(axiom2()),
+        "axiom3": tally(axiom3()),
+        "axiom4": tally(axiom4()),
+    }
 
 
 def _basis_tuples(dim: int, slots: int) -> list[BasisTuple]:
@@ -492,123 +565,59 @@ def _partners(space: SuperSpace) -> list[list[int]]:
 def es_axiom_check(space: SuperSpace, max_arity: int = 3) -> dict[str, AxiomReport]:
     """Exhaustively verify the four cyclic-operad axioms on basis tensors.
 
-    The two axioms that exchange their arguments (rotation and the
-    disjoint-slot axiom) carry the Koszul sign of that exchange, which is
-    invisible on even tensors; the equivariance and nesting axioms have
-    no exchange and hence no sign.  Compositions with a vanishing
-    contraction factor are skipped: both sides are zero and carry no
-    information.  Runs on raw tuples for speed."""
+    The adapter to :func:`cyclic_axiom_check` holds an element as a signed
+    basis tuple ``(coeff, tuple)`` and composes and acts through the raw
+    kernels.  Rotation and the disjoint-slot axiom exchange two arguments
+    and carry the Koszul sign of that exchange, invisible on even tensors.
+    Only tensors whose slot 0 pairs with the target slot are inserted; the
+    others contract to zero on both sides.  Nothing is memoised across
+    cases: a composition is cheap, and a table of results would grow with
+    dim**arity and set the peak memory of the run."""
     parity_of = space.parity
-
-    def total_parity(t: BasisTuple) -> int:
-        return sum(parity_of[i] for i in t) & 1
     partners = _partners(space)
-    tuples = {k: _basis_tuples(space.dim, k) for k in range(0, 2 * max_arity + 2)}
-    word_cache: dict[BasisTuple, tuple[int, ...]] = {}
-
-    def apply(perm: BasisTuple, t: BasisTuple) -> tuple[int, BasisTuple]:
-        word = word_cache.get(perm)
-        if word is None:
-            word = word_cache[perm] = _perm_word(perm)
-        return _permute_raw(space, word, t)
-
-    def contractible(v: BasisTuple, j: int, n: int) -> Iterator[BasisTuple]:
-        # the arity-n basis tensors whose slot 0 pairs with slot j of v
-        for w0 in partners[v[j]]:
-            for w_rest in tuples[n]:
-                yield (w0,) + w_rest
-
-    def axiom1() -> Iterator[str | None]:
-        # equivariance of composition
-        for m, n, j, pi, rho, sigma in axiom1_indices(max_arity):
-            for v in tuples[m + 1]:
-                for w in contractible(v, j, n):
-                    base = _compose_raw(space, v, w, j)
-                    assert base is not None
-                    sign_l, left = apply(sigma, base[1])
-                    sv, vt = apply(pi, v)
-                    sw, wt = apply(rho, w)
-                    right = _compose_raw(space, vt, wt, pi[j])
-                    ok = (
-                        right is not None
-                        and right[1] == left
-                        and right[0] * sv * sw == base[0] * sign_l
-                    )
-                    yield None if ok else (
-                        f"m={m} n={n} j={j} pi={pi} rho={rho} v={v} w={w}"
-                    )
-
-    def axiom2() -> Iterator[str | None]:
-        # rotation exchanges the outermost composition, at the cost of the
-        # sign of swapping the two arguments
-        for m, n, tau_m, tau_n, tau_out in axiom2_indices(max_arity):
-            for v in tuples[m + 1]:
-                for w in contractible(v, m, n):
-                    base = _compose_raw(space, v, w, m)
-                    assert base is not None
-                    sign_l, left = apply(tau_out, base[1])
-                    sv, vt = apply(tau_m, v)
-                    sw, wt = apply(tau_n, w)
-                    exchange = -1 if total_parity(v) and total_parity(w) else 1
-                    right = _compose_raw(space, wt, vt, 1)
-                    ok = (
-                        right is not None
-                        and right[1] == left
-                        and right[0] * sv * sw * exchange == base[0] * sign_l
-                    )
-                    yield None if ok else f"m={m} n={n} v={v} w={w}"
-
-    def axiom3() -> Iterator[str | None]:
-        # disjoint slots compose in either order
-        for k, l, m, i, j, j_after in axiom3_indices(max_arity):
-            for a in tuples[k + 1]:
-                for b in contractible(a, i, l):
-                    first = _compose_raw(space, a, b, i)
-                    assert first is not None
-                    for c in contractible(a, j, m):
-                        lhs = _compose_raw(space, first[1], c, j_after)
-                        second = _compose_raw(space, a, c, j)
-                        assert second is not None
-                        rhs = _compose_raw(space, second[1], b, i)
-                        exchange = -1 if total_parity(b) and total_parity(c) else 1
-                        ok = (
-                            lhs is not None
-                            and rhs is not None
-                            and lhs[1] == rhs[1]
-                            and first[0] * lhs[0] == second[0] * rhs[0] * exchange
-                        )
-                        yield None if ok else (
-                            f"k={k} l={l} m={m} i={i} j={j} a={a} b={b} c={c}"
-                        )
-
-    def axiom4() -> Iterator[str | None]:
-        # nested slots associate
-        for k, l, m, i, j, j_after in axiom4_indices(max_arity):
-            for a in tuples[k + 1]:
-                for b in contractible(a, i, l):
-                    first = _compose_raw(space, a, b, i)
-                    assert first is not None
-                    for c in contractible(b, j, m):
-                        lhs = _compose_raw(space, first[1], c, j_after)
-                        inner = _compose_raw(space, b, c, j)
-                        assert inner is not None
-                        rhs = _compose_raw(space, a, inner[1], i)
-                        ok = (
-                            lhs is not None
-                            and rhs is not None
-                            and lhs[1] == rhs[1]
-                            and first[0] * lhs[0] == inner[0] * rhs[0]
-                        )
-                        yield None if ok else (
-                            f"k={k} l={l} m={m} i={i} j={j} a={a} b={b} c={c}"
-                        )
-
-    return {
-        "axiom1": tally(axiom1()),
-        "axiom2": tally(axiom2()),
-        "axiom3": tally(axiom3()),
-        "axiom4": tally(axiom4()),
+    arities = range(1, max_arity + 1)
+    elements = {m: [(1, t) for t in _basis_tuples(space.dim, m + 1)] for m in arities}
+    # the arity-n basis tensors whose slot 0 pairs with basis index i
+    contractible = {
+        n: [
+            [(1, (w0,) + w) for w0 in partners[i] for w in _basis_tuples(space.dim, n)]
+            for i in range(space.dim)
+        ]
+        for n in arities
     }
+    words: dict[BasisTuple, tuple[int, ...]] = {}
+
+    def compose(x: tuple, y: tuple, j: int) -> tuple | None:
+        contracted = _compose_raw(space, x[1], y[1], j)
+        if contracted is None:
+            return None
+        return x[0] * y[0] * contracted[0], contracted[1]
+
+    def act(perm: BasisTuple, x: tuple) -> tuple:
+        word = words.get(perm)
+        if word is None:
+            word = words[perm] = _perm_word(perm)
+        sign, image = _permute_raw(space, word, x[1])
+        return x[0] * sign, image
+
+    def odd(x: tuple) -> int:
+        return sum(parity_of[i] for i in x[1]) & 1
+
+    def exchange(x: tuple, y: tuple, z: tuple | None) -> tuple | None:
+        if z is None or not (odd(x) and odd(y)):
+            return z
+        return -z[0], z[1]
+
+    return cyclic_axiom_check(
+        max_arity,
+        elements,
+        compose,
+        act,
+        lambda x: str(x[1]),
+        pair_names=("v", "w"),
+        operands=lambda x, j, n: contractible[n][x[1][j]],
+        exchange=exchange,
+    )
 
 
 def vowa_exhaustive(
