@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Scalar = Fraction
 Mono = tuple[tuple[int, int], ...]
@@ -221,14 +221,7 @@ class Polynomial:
     def __pow__(self, exp: int) -> "Polynomial":
         if exp < 0:
             raise DomainError("negative polynomial power")
-        result = Polynomial.one()
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base if exp > 1 else base
-            exp >>= 1
-        return result
+        return _power(self, exp, Polynomial.__mul__)
 
     def scale(self, c: ScalarLike) -> "Polynomial":
         c = Fraction(c)
@@ -302,6 +295,19 @@ def _raw(terms: dict[Mono, Fraction]) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p.terms = terms
     return p
+
+
+def _power(
+    base: Polynomial, exp: int, mul: Callable[[Polynomial, Polynomial], Polynomial]
+) -> Polynomial:
+    """Square and multiply, each product made by ``mul``."""
+    result = Polynomial.one()
+    while exp:
+        if exp & 1:
+            result = mul(result, base)
+        base = mul(base, base) if exp > 1 else base
+        exp >>= 1
+    return result
 
 
 def _coerce(value: "Polynomial | ScalarLike") -> Polynomial:
@@ -453,6 +459,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # few Python frames, so the parser stays far below the recursion limit
 MAX_NESTING = 100
 
+# a product of two parsed factors, and each step of a power, pairs at most
+# this many terms, checked before any pair is formed: 2^12 lets through a
+# product of two dense degree-6 elements, and costs about 0.03 s
+MAX_PRODUCT_PAIRS = 4096
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -503,8 +514,8 @@ class _Parser:
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
-                self.next()
-                p = p * self.factor()
+                _, _, where = self.next()
+                p = _bounded_product(p, self.factor(), where)
             else:
                 return p
 
@@ -516,7 +527,7 @@ class _Parser:
             kind, value, where = self.next()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer", where)
-            p = p ** int(value)
+            p = _power(p, int(value), lambda a, b: _bounded_product(a, b, where))
         return p
 
     def atom(self) -> Polynomial:
@@ -547,6 +558,16 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", where)
             return Polynomial.variable(int(value[1:]))
         raise ParseError(f"unexpected {value!r}", where)
+
+
+def _bounded_product(p: Polynomial, q: Polynomial, where: int) -> Polynomial:
+    if len(p.terms) * len(q.terms) > MAX_PRODUCT_PAIRS:
+        raise ParseError(
+            f"product of {len(p.terms)} and {len(q.terms)} terms is above "
+            f"the bound of {MAX_PRODUCT_PAIRS} term pairs",
+            where,
+        )
+    return p * q
 
 
 def parse_polynomial(text: str) -> Polynomial:

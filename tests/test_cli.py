@@ -1,10 +1,11 @@
 import json
+import time
 
 import jsonschema
 import pytest
 
 from tring import cli, rt0
-from tring.poly import MAX_NESTING
+from tring.poly import MAX_NESTING, MAX_PRODUCT_PAIRS
 from tring.verify import REPORT_SCHEMA, Bounds, CheckResult, SuiteReport
 
 
@@ -229,6 +230,33 @@ def test_deep_nesting_is_a_parse_error(capsys):
         assert err.count("\n") == 1
     nested = "(" * MAX_NESTING + "t1" + ")" * MAX_NESTING
     assert run_cli(capsys, "eval", nested) == (0, "t1\n", "")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # degree 120, but a degree bound applies only after the expansion
+        "(t0+t1+t1^2+t1^3)^40",
+        # 30 terms to the 12th power; eval has no degree bound
+        "(" + "+".join(f"t{i}" for i in range(1, 31)) + ")^12",
+    ],
+)
+def test_parsed_products_are_bounded(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", text)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err.startswith("error: product of ")
+    assert err.count("\n") == 1
+
+
+def test_product_bound_is_inclusive(capsys):
+    widest = "+".join(f"t1^{i}" for i in range(1, MAX_PRODUCT_PAIRS + 1))
+    code, out, _ = run_cli(capsys, "eval", f"({widest})*t2")
+    assert code == 0 and out.count("*t2") == MAX_PRODUCT_PAIRS
+    code, out, err = run_cli(capsys, "eval", f"({widest})*(t2+t3)")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: product of {MAX_PRODUCT_PAIRS} and 2 terms")
 
 
 def test_consistency_error_exit_code(capsys, monkeypatch):
