@@ -265,6 +265,9 @@ SUPER_AXIOM_COUNTS = {
     2: (18792, 392, 10976, 32368),
     3: (288225, 4563, 410670, 1217268),
 }
+# pairing-exchange case counts at arity bound 3: dim**(m+n) pairings for
+# each slot j and pair of even basis tensors
+VOWA_COUNTS = {1: 18, 2: 53312, 3: 4423230}
 
 
 def test_criterion_10_super_operad():
@@ -277,7 +280,7 @@ def test_criterion_10_super_operad():
             assert counts == SUPER_AXIOM_COUNTS[dim]
             ok, checked, witness = vowa_exhaustive(mixed_space(dim), max_arity=3)
             assert ok, witness
-            assert checked > 0
+            assert checked == VOWA_COUNTS[dim]
 
 
 def test_criterion_11_extended_operad_axioms():

@@ -82,6 +82,31 @@ def test_vanishing_contraction_fails_super_suite(capsys, monkeypatch):
     assert out.endswith("suite=super passed=0 failed=12 total=12 seed=0\n")
 
 
+def test_negated_compose_fails_vowa_suite(capsys, monkeypatch):
+    # a failing report still counts the whole case set, and names the
+    # smallest failing pairing of the first failing block
+    compose_raw = superops._compose_raw
+
+    def negated(space, v, w, j):
+        out = compose_raw(space, v, w, j)
+        if out is None or len(out[1]) < 4:
+            return out
+        return -out[0], out[1]
+
+    monkeypatch.setattr(superops, "_compose_raw", negated)
+    code, out = run_cli(capsys, "verify", "vowa", "--dim", "2")
+    assert code == 1
+    assert fail_lines(out) == [
+        "FAIL pairing_exchange mixed dim=1 arity<=3 checked=18  [m=1 n=3 j=1"
+        " v=(0, 0) w=(0, 0, 0, 0) alpha=(0, 0, 0, 0)]",
+        "FAIL pairing_exchange mixed dim=2 arity<=3 checked=53312  [m=1 n=3 j=1"
+        " v=(0, 0) w=(1, 0, 0, 0) alpha=(1, 1, 1, 1)]",
+        "FAIL pairing_exchange even dim=2 arity<=2 checked=2880  [m=2 n=2 j=1"
+        " v=(0, 0, 0) w=(0, 0, 0) alpha=(0, 0, 0, 0)]",
+    ]
+    assert out.endswith("suite=vowa passed=0 failed=3 total=3 seed=0\n")
+
+
 def test_doubled_slot_insertion_fails_mtilde_suites(capsys, monkeypatch):
     compose = mtilde.compose
 
