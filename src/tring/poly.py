@@ -465,6 +465,11 @@ MAX_NESTING = 100
 # Xeon VM, Fraction coefficients)
 MAX_PRODUCT_PAIRS = 4096
 
+# a parsed exponent is at most this, checked by its digits before int() or
+# the power runs: 2^12 admits t1^4096, and 9^4096 has 3909 digits, below
+# the interpreter's 4300-digit limit for printing an int
+MAX_EXPONENT = 4096
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -528,6 +533,9 @@ class _Parser:
             kind, value, where = self.next()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer", where)
+            digits = value.lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
+                raise ParseError(f"exponent above the bound of {MAX_EXPONENT}", where)
             p = _power(p, int(value), lambda a, b: _bounded_product(a, b, where))
         return p
 

@@ -5,14 +5,17 @@ both the mathematical content and its runtime budget.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tring
 from tring.base import rank2_base, trivial_base
 from tring.linalg import is_invertible
 from tring.mtilde import important_b_check, operad_axiom_check
@@ -294,10 +297,18 @@ def test_criterion_11_extended_operad_axioms():
 
 def test_criterion_12_verify_all_cli():
     with Budget("criterion 12 (verify all, JSON report)", 120.0):
+        # the child imports the same tring as this process, installed or not
+        package_root = str(Path(tring.__file__).resolve().parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""),
+        )
         result = subprocess.run(
             [sys.executable, "-m", "tring.cli", "verify", "all", "--json"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0, result.stdout + result.stderr
         payload = json.loads(result.stdout)

@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from tring import cli, rt0
-from tring.poly import MAX_NESTING, MAX_PRODUCT_PAIRS
+from tring.poly import MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_PAIRS
 from tring.verify import REPORT_SCHEMA, Bounds, CheckResult, SuiteReport
 
 
@@ -257,6 +257,19 @@ def test_product_bound_is_inclusive(capsys):
     code, out, err = run_cli(capsys, "eval", f"({widest})*(t2+t3)")
     assert code == 2 and out == ""
     assert err.startswith(f"error: product of {MAX_PRODUCT_PAIRS} and 2 terms")
+
+
+def test_parsed_exponents_are_bounded(capsys):
+    # refused before the power is formed, and before int() meets a string
+    # above the interpreter's digit limit
+    for text in ("2^1000000", "t1^" + "9" * 5000, f"t1^{MAX_EXPONENT + 1}"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", text)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: exponent above the bound of {MAX_EXPONENT} ")
+        assert err.count("\n") == 1
+    assert run_cli(capsys, "eval", f"t1^{MAX_EXPONENT}") == (0, f"t1^{MAX_EXPONENT}\n", "")
 
 
 def test_consistency_error_exit_code(capsys, monkeypatch):

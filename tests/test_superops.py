@@ -1,11 +1,13 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tring import superops
 from tring.superops import (
     DualBasisPair,
     PairingError,
@@ -245,3 +247,101 @@ def test_kernels_keep_fraction_entries():
     assert ok, counterexample
     assert checked > 0
     assert all(r.ok for r in es_axiom_check(space, max_arity=2).values())
+
+
+# -- the table-driven Koszul sign against re-summed parities -------------------
+
+MIXED3 = mixed_space(3)
+
+
+def _compose_by_parity_sums(space, v, w, j):
+    """The composition kernel with its sign summed from the parities."""
+    factor = space._kernel_pairing[v[j]][w[0]]
+    if not factor:
+        return None
+    parity = space.parity.__getitem__
+    if sum(map(parity, v[j + 1 :])) & 1 and sum(map(parity, w)) & 1:
+        factor = -factor
+    return factor, v[:j] + w[1:] + v[j + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_driven_sign_matches_parity_sums(data):
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 5))
+    j = data.draw(st.integers(1, m))
+    v = data.draw(st.tuples(*[st.integers(0, MIXED3.dim - 1)] * (m + 1)))
+    w = data.draw(st.tuples(*[st.integers(0, MIXED3.dim - 1)] * (n + 1)))
+    assert _compose_raw(MIXED3, v, w, j) == _compose_by_parity_sums(MIXED3, v, w, j)
+    for t in (v, w):
+        expected = [sum(MIXED3.parity[i] for i in t[k:]) & 1 for k in range(len(t) + 1)]
+        assert MIXED3._suffix_parity[t] == tuple(expected)
+
+
+# -- the sparse exchange checker against vowa_check on every case --------------
+
+
+def _vowa_oracle(space: SuperSpace, max_arity: int):
+    """vowa_check on every block and every basis pairing: whether all
+    hold, the number of cases, and where the first failure is."""
+    duals = space.dual_pair()
+    arities = range(1, max_arity + 1)
+    evens = {
+        m: [t for t in product(range(space.dim), repeat=m + 1) if T(*t).is_even(space)]
+        for m in arities
+    }
+    checked, first = 0, None
+    for m, n in product(arities, arities):
+        for j, v, w in product(range(1, m + 1), evens[m], evens[n]):
+            for alpha in product(range(space.dim), repeat=m + n):
+                checked += 1
+                if first is None and not vowa_check(space, duals, T(*v), T(*w), j, alpha):
+                    first = f"m={m} n={n} j={j} v={v} w={w} alpha={alpha}"
+    return first is None, checked, first
+
+
+def _assert_matches_oracle(space: SuperSpace) -> None:
+    ok, checked, counterexample = vowa_exhaustive(space, max_arity=2)
+    expected_ok, expected_checked, location = _vowa_oracle(space, max_arity=2)
+    assert (ok, checked) == (expected_ok, expected_checked)
+    assert (counterexample is None) == (location is None)
+    if location is not None:
+        # a sign mismatch names the primal index after the location
+        assert location in counterexample
+
+
+NON_MONOMIAL = SuperSpace(["e1", "e2"], [0, 0], [[2, 1], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        mixed_space(1),
+        mixed_space(2),
+        even_space(2),
+        SuperSpace(["e1", "e2"], [0, 0], [[Fraction(1, 2), 0], [0, 2]]),
+        NON_MONOMIAL,
+    ],
+    ids=["mixed1", "mixed2", "even2", "fraction", "non-monomial"],
+)
+def test_sparse_vowa_matches_every_case(space):
+    _assert_matches_oracle(space)
+
+
+def _negated_ending_in_last_index(space, v, w, j):
+    out = _compose_raw(space, v, w, j)
+    return out if out is None or out[1][-1] < space.dim - 1 else (-out[0], out[1])
+
+
+def _reversed_tuple(space, v, w, j):
+    # a wrong tuple: its support is not the one built from v, w and j
+    out = _compose_raw(space, v, w, j)
+    return out if out is None else (out[0], out[1][::-1])
+
+
+@pytest.mark.parametrize("kernel", [_negated_ending_in_last_index, _reversed_tuple])
+@pytest.mark.parametrize("space", [mixed_space(2), NON_MONOMIAL], ids=["mixed2", "non-monomial"])
+def test_sparse_vowa_matches_every_case_under_a_broken_kernel(monkeypatch, space, kernel):
+    monkeypatch.setattr(superops, "_compose_raw", kernel)
+    _assert_matches_oracle(space)
