@@ -466,8 +466,8 @@ MAX_NESTING = 100
 MAX_PRODUCT_PAIRS = 4096
 
 # a parsed exponent is at most this, checked by its digits before int() or
-# the power runs: 2^12 admits t1^4096, and 9^4096 has 3909 digits, below
-# the interpreter's 4300-digit limit for printing an int
+# the power runs: it admits t1^4096, the widest sum a test parses, and
+# 9^4096 has 3909 digits, below the interpreter's 4300-digit print limit
 MAX_EXPONENT = 4096
 
 

@@ -72,7 +72,7 @@ class SuperSpace:
             tuple(e.numerator if e.denominator == 1 else e for e in row)
             for row in self.pairing
         )
-        # filled by the signs of the compositions formed on this space
+        # filled by the Koszul signs of the compositions on this space
         self._suffix_parity = _SuffixParities(self.parity)
         for i in range(self.dim):
             if len(self.pairing[i]) != self.dim:
