@@ -6,6 +6,7 @@ import pytest
 from tring.base import BaseOperadConfig, GradedAlgebra, rank2_base, trivial_base
 from tring.mtilde import (
     MTildeElement,
+    _describe,
     act,
     compose,
     important_b_check,
@@ -209,6 +210,23 @@ def test_compose_validation():
         compose(MT1("1"), tensor(2, "one", "1", "1", "1"), 2, base)
     with pytest.raises(ValueError):
         compose(tensor(2, "one", "1", "1", "1"), MT1("1"), 3, base)
+
+
+def test_describe_pins_the_counterexample_text():
+    # the axiom suites name failing elements by this text: terms sorted
+    # by base name, then slot by slot, each slot a monomial or 1
+    base = rank2_base()
+    psi, _ = psi_phi_classes(2, 1, base)
+    x = (
+        psi
+        + tensor(2, "h", "t1", "1", "t1*t2^2", coeff=Fraction(3, 2))
+        + tensor(2, "one", "t1*t2^2", "t1^2", "1", coeff=-2)
+    )
+    assert _describe(x) == (
+        "1*h(1,1,1) + 3/2*h(t1,1,t1*t2^2) + 1*one(1,t1,1) + -2*one(t1*t2^2,t1^2,1)"
+    )
+    assert _describe(MTildeElement.zero(2)) == "0"
+    assert _describe(MT1("t0*t1 + 2")) == "2 + t0*t1"
 
 
 # -- canonical coefficients and a base with rational constants -------------
