@@ -44,7 +44,6 @@ from .base import (
     BaseOperadConfig,
     ConfigError,
     GradedAlgebra,
-    alg_mul,
     load_config,
     rank2_base,
     trivial_base,

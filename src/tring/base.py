@@ -8,11 +8,11 @@ coefficient theory the operad layer is run against; the built-in
 adjoins a single square-zero class.
 
 Elements of an algebra are mappings from basis names to rational
-coefficients; zero coefficients are never stored, and a coefficient is
-an int when it is integral and a Fraction only where a denominator
-appears.  Structure constants, clutching tables and parsed config
-coefficients follow the same convention, so products over the built-in
-bases stay in int arithmetic.
+coefficients under the coefficient rule of ``ring.add_term`` and
+``ring.nonzero_terms``: no zero coefficient is stored, and a coefficient
+is an int when it is integral.  Structure constants, clutching tables
+and parsed config coefficients follow the same rule, so products over
+the built-in bases stay in int arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-Coeff = int | Fraction
+from .ring import Coeff, add_term, nonzero_terms
+
 AlgebraElement = dict[str, Coeff]
 
 
@@ -31,28 +32,6 @@ class ConfigError(ValueError):
 
 class DegreeMismatchError(ValueError):
     """An element fails a homogeneity requirement."""
-
-
-def canonical(c: Coeff) -> Coeff:
-    """c as an int when it is integral, else the Fraction itself."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def elt_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    out = dict(x)
-    for name, c in y.items():
-        s = out.get(name, 0) + c
-        if s:
-            out[name] = canonical(s)
-        elif name in out:
-            del out[name]
-    return out
-
-
-def elt_scale(x: AlgebraElement, c: Coeff) -> AlgebraElement:
-    if not c:
-        return {}
-    return {name: canonical(coeff * c) for name, coeff in x.items()}
 
 
 class GradedAlgebra:
@@ -79,7 +58,7 @@ class GradedAlgebra:
         self.table: dict[tuple[str, str], AlgebraElement] = {}
         for (a, b), value in products.items():
             self._check_names((a, b), value)
-            value = {k: canonical(Fraction(v)) for k, v in value.items() if v}
+            value = nonzero_terms({k: Fraction(v) for k, v in value.items()})
             mirror = self.table.get((b, a))
             if mirror is not None and mirror != value:
                 raise ConfigError(
@@ -140,11 +119,7 @@ class GradedAlgebra:
         for a, ca in x.items():
             for b, cb in y.items():
                 for name, c in self.table.get((a, b), {}).items():
-                    s = out.get(name, 0) + ca * cb * c
-                    if s:
-                        out[name] = canonical(s)
-                    elif name in out:
-                        del out[name]
+                    add_term(out, name, ca * cb * c)
         return out
 
     def unit_element(self) -> AlgebraElement:
@@ -152,10 +127,6 @@ class GradedAlgebra:
 
     def is_homogeneous(self, x: AlgebraElement, degree: int) -> bool:
         return all(self.degrees[name] == degree for name in x)
-
-
-def alg_mul(algebra: GradedAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return algebra.mul(x, y)
 
 
 Perm = tuple[int, ...]
@@ -213,8 +184,8 @@ class BaseOperadConfig:
             return dict(x)
         out: AlgebraElement = {}
         for name, c in x.items():
-            image = stored.get(name, {name: 1})
-            out = elt_add(out, elt_scale(image, c))
+            for image_name, ci in stored.get(name, {name: 1}).items():
+                add_term(out, image_name, ci * c)
         return out
 
     def clutch(
@@ -230,9 +201,8 @@ class BaseOperadConfig:
         out: AlgebraElement = {}
         for a, ca in x.items():
             for b, cb in y.items():
-                entry = table.get((a, b))
-                if entry:
-                    out = elt_add(out, elt_scale(entry, ca * cb))
+                for name, c in table.get((a, b), {}).items():
+                    add_term(out, name, ca * cb * c)
         return out
 
     # -- construction ------------------------------------------------------
@@ -348,14 +318,13 @@ def _parse_combo(text: str, line_no: int) -> AlgebraElement:
     if text == "0":
         return {}
     out: AlgebraElement = {}
-    sign = Fraction(1)
     for chunk in text.replace("-", "+ -").split("+"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        sign = Fraction(1)
+        sign = 1
         if chunk.startswith("-"):
-            sign = Fraction(-1)
+            sign = -1
             chunk = chunk[1:].strip()
         if "*" in chunk:
             coeff_text, name = (part.strip() for part in chunk.split("*", 1))
@@ -367,14 +336,10 @@ def _parse_combo(text: str, line_no: int) -> AlgebraElement:
                 ) from err
         else:
             name = chunk
-            coeff = Fraction(1)
+            coeff = 1
         if not name or not name[0].isalpha():
             raise ConfigError(f"line {line_no}: bad basis name {name!r}")
-        s = out.get(name, 0) + sign * coeff
-        if s:
-            out[name] = canonical(s)
-        elif name in out:
-            del out[name]
+        add_term(out, name, sign * coeff)
     return out
 
 

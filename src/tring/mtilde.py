@@ -19,11 +19,14 @@ The family slots are all even, so no Koszul signs appear anywhere; the
 permutation action moves slots and lets the config act on the base
 class.
 
-Terms are stored canonically, as in RT0Element: no zero coefficient is
-kept, and a coefficient is an int when it is integral and a Fraction only
-where a denominator appears.  The kernels read the base products straight
-from the algebra's structure-constant table, so over the built-in bases
-every step stays in int arithmetic.
+Terms follow the coefficient rule of RT0Element, through
+``ring.add_term``/``nonzero_terms``: no zero coefficient is kept, and a
+coefficient is an int when it is integral.  A slot holds the ring's word
+u of the key (0, u) (the empty word is the unit slot), so slot products
+are quasi-shuffles; slots are Monos only in the constructor and in
+``_describe``.  The kernels read the base products straight from the
+algebra's structure-constant table, so over the built-in bases every
+step stays in int arithmetic.
 """
 
 from __future__ import annotations
@@ -32,12 +35,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .base import AlgebraElement, BaseOperadConfig, ConfigError, canonical
-from .poly import Mono, mono_degree, mono_str
+from .base import AlgebraElement, BaseOperadConfig, ConfigError
+from .poly import Mono, mono_str
 from .ring import (
     Coeff,
+    Word,
     _join_mono,
     _split_mono,
+    add_term,
     interval_length,
     nonzero_terms,
     quasi_shuffle,
@@ -59,19 +64,21 @@ from .superops import AxiomReport, cyclic_axiom_check
 # axiom suites run; elements are immutable, so caching is safe
 _iota_cached = lru_cache(maxsize=4096)(iota)
 
-MTKey = tuple[str, tuple[Mono, ...]]
-MONO_ONE: Mono = ()
+MTKey = tuple[str, tuple[Word, ...]]
 
 
 class MTildeElement:
-    """An element of the extended operad at a fixed arity."""
+    """An element of the extended operad at a fixed arity.
+
+    Above arity one, ``terms`` maps (base name, slot monomials) to
+    coefficients; the slots are validated and stored as ring words."""
 
     __slots__ = ("arity", "rt0", "terms", "_hash")
 
     def __init__(
         self,
         arity: int,
-        terms: Mapping[MTKey, Coeff] | None = None,
+        terms: Mapping[tuple[str, tuple[Mono, ...]], Coeff] | None = None,
         rt0: RT0Element | None = None,
     ):
         if arity < 1:
@@ -92,9 +99,10 @@ class MTildeElement:
                         f"expected {arity + 1} slots, got {len(monos)}"
                     )
                 for mono in monos:
-                    if interval_length(mono) is None or not all(var for var, _ in mono):
+                    if interval_length(mono) is None or not all(var and e for var, e in mono):
                         raise ValueError(f"invalid slot monomial {mono}")
-                normalized[(name, monos)] = Fraction(coeff)
+                words = tuple(_split_mono(mono)[1] for mono in monos)
+                normalized[(name, words)] = Fraction(coeff)
         self.terms = nonzero_terms(normalized)
 
     @classmethod
@@ -109,7 +117,7 @@ class MTildeElement:
     def unit_tensor(cls, arity: int, base: BaseOperadConfig) -> "MTildeElement":
         """The base unit with every slot equal to one."""
         algebra = base.algebra(arity)
-        key = (algebra.unit, (MONO_ONE,) * (arity + 1))
+        key = (algebra.unit, ((),) * (arity + 1))
         return cls._raw(arity, {key: 1})
 
     def is_zero(self) -> bool:
@@ -140,7 +148,8 @@ class MTildeElement:
 
     @classmethod
     def _raw(cls, arity: int, terms: dict[MTKey, Coeff]) -> "MTildeElement":
-        """Wrap canonical terms (no zeros, integral coefficients as int)."""
+        """Wrap terms under the rule of ring.nonzero_terms (no zeros,
+        integral coefficients as int)."""
         elt = cls.__new__(cls)
         elt.arity = arity
         elt.rt0 = None
@@ -172,32 +181,6 @@ class MTildeElement:
         return f"MTildeElement({self.arity}, {len(self.terms)} terms)"
 
 
-def _add_term(
-    acc: dict[MTKey, Coeff], name: str, monos: tuple[Mono, ...], coeff: Coeff
-) -> None:
-    """Add coeff to the term (name, monos), keeping acc canonical."""
-    if not coeff:
-        return
-    key = (name, monos)
-    s = acc.get(key, 0) + coeff
-    if s:
-        acc[key] = canonical(s)
-    elif key in acc:
-        del acc[key]
-
-
-def _mono_as_rt0(mono: Mono) -> RT0Element:
-    return RT0Element._raw({_split_mono(mono): 1})
-
-
-def _mono_r_mul(a: Mono, b: Mono, memo: dict) -> list[tuple[Mono, int]]:
-    """Family product of two slot monomials, on their keys."""
-    if not a or not b:  # most slots hold the unit monomial
-        return [(a or b, 1)]
-    (ea, u), (eb, v) = _split_mono(a), _split_mono(b)
-    return [(_join_mono(ea + eb, w), m) for w, m in quasi_shuffle(u, v, memo).items()]
-
-
 def mt_mul(
     x: MTildeElement, y: MTildeElement, base: BaseOperadConfig
 ) -> MTildeElement:
@@ -209,21 +192,21 @@ def mt_mul(
     table = base.algebra(x.arity).table
     out: dict[MTKey, Coeff] = {}
     memo: dict = {}
-    for (name_x, monos_x), cx in x.terms.items():
-        for (name_y, monos_y), cy in y.terms.items():
+    for (name_x, words_x), cx in x.terms.items():
+        for (name_y, words_y), cy in y.terms.items():
             base_part = table.get((name_x, name_y))
             if not base_part:
                 continue
-            expansions: list[tuple[tuple[Mono, ...], Coeff]] = [((), cx * cy)]
-            for slot in range(x.arity + 1):
-                grown: list[tuple[tuple[Mono, ...], Coeff]] = []
-                for mono, c in _mono_r_mul(monos_x[slot], monos_y[slot], memo):
-                    for monos_acc, coeff_acc in expansions:
-                        grown.append((monos_acc + (mono,), coeff_acc * c))
-                expansions = grown
+            expansions: list[tuple[tuple[Word, ...], Coeff]] = [((), cx * cy)]
+            for u, v in zip(words_x, words_y):
+                expansions = [
+                    (words_acc + (w,), coeff_acc * mult)
+                    for w, mult in quasi_shuffle(u, v, memo).items()
+                    for words_acc, coeff_acc in expansions
+                ]
             for bname, cb in base_part.items():
-                for monos_acc, coeff_acc in expansions:
-                    _add_term(out, bname, monos_acc, coeff_acc * cb)
+                for words_acc, coeff_acc in expansions:
+                    add_term(out, (bname, words_acc), coeff_acc * cb)
     return MTildeElement._raw(x.arity, out)
 
 
@@ -244,24 +227,24 @@ def _slot_insert(
     base: BaseOperadConfig,
     arity: int,
     slot: int,
-    slot_mono: Mono,
+    slot_word: Word,
     argument: RT0Element,
-) -> list[tuple[str, Mono, Coeff]]:
-    """Multiply a slot monomial by an arity-one argument and substitute
-    t0 by the slot's phi class; returns (base name, slot monomial, coeff)
-    triples.  Memoised on the config, keyed by the exact inputs."""
+) -> list[tuple[str, Word, Coeff]]:
+    """Multiply a slot by an arity-one argument and substitute t0 by the
+    slot's phi class; returns (base name, slot word, coeff) triples.
+    Memoised on the config, keyed by the exact inputs."""
     cache = getattr(base, "_slot_insert_cache", None)
     if cache is None:
         cache = {}
         base._slot_insert_cache = cache
-    key = (arity, slot, slot_mono, argument)
+    key = (arity, slot, slot_word, argument)
     cached = cache.get(key)
     if cached is None:
         algebra = base.algebra(arity)
-        product = odot(_mono_as_rt0(slot_mono), argument)
+        product = odot(RT0Element._raw({(0, slot_word): 1}), argument)
         substituted = substitute_class(product, base.phi(arity, slot), algebra)
         cached = [
-            (name, _join_mono(0, u), coeff)
+            (name, u, coeff)
             for name, h in substituted.items()
             for (_, u), coeff in h.terms.items()
         ]
@@ -278,45 +261,32 @@ def compose(
         raise ValueError(f"slot {j} outside [1,{m}]")
     if m == 1 and n == 1:
         return MTildeElement.from_rt0(odot(x.rt0, y.rt0))
-    if m >= 2 and n == 1:
-        out: dict[MTKey, Coeff] = {}
-        table = base.algebra(m).table
-        for (name, monos), c in x.terms.items():
-            for pname, mono_r, coeff in _slot_insert(base, m, j, monos[j], y.rt0):
+    out: dict[MTKey, Coeff] = {}
+    if m == 1 or n == 1:
+        # an arity-one element enters slot j of x, or slot 0 of y twisted
+        # by the involution (m == 1 forces j == 1)
+        big, slot, argument = (
+            (x, j, y.rt0) if n == 1 else (y, 0, _iota_cached(x.rt0))
+        )
+        table = base.algebra(big.arity).table
+        for (name, words), c in big.terms.items():
+            for pname, u, coeff in _slot_insert(base, big.arity, slot, words[slot], argument):
+                new_words = words[:slot] + (u,) + words[slot + 1 :]
                 for bname, cb in table.get((name, pname), {}).items():
-                    _add_term(
-                        out,
-                        bname,
-                        monos[:j] + (mono_r,) + monos[j + 1 :],
-                        c * coeff * cb,
-                    )
-        return MTildeElement._raw(m, out)
-    if m == 1 and n >= 2:
-        if j != 1:
-            raise ValueError("an arity-one element has a single slot")
-        out = {}
-        table = base.algebra(n).table
-        twisted = _iota_cached(x.rt0)
-        for (name, monos), c in y.terms.items():
-            for pname, mono_r, coeff in _slot_insert(base, n, 0, monos[0], twisted):
-                for bname, cb in table.get((name, pname), {}).items():
-                    _add_term(
-                        out, bname, (mono_r,) + monos[1:], c * coeff * cb
-                    )
-        return MTildeElement._raw(n, out)
-    # both arities >= 2: unsigned contraction of the family slots
-    # combined with the configured clutching of the base classes
-    out = {}
-    for (name_x, monos_x), cx in x.terms.items():
-        if monos_x[j] != MONO_ONE:
+                    add_term(out, (bname, new_words), c * coeff * cb)
+        return MTildeElement._raw(big.arity, out)
+    # both arities >= 2: unsigned contraction of slot j against slot 0,
+    # where both are the unit slot; the bases combine by the clutching
+    for (name_x, words_x), cx in x.terms.items():
+        if words_x[j]:
             continue
-        for (name_y, monos_y), cy in y.terms.items():
-            if monos_y[0] != MONO_ONE:
+        for (name_y, words_y), cy in y.terms.items():
+            if words_y[0]:
                 continue
             clutched = base.clutch(m, n, j, {name_x: 1}, {name_y: 1})
-            new_monos = monos_x[:j] + monos_y[1:] + monos_x[j + 1 :]
+            new_words = words_x[:j] + words_y[1:] + words_x[j + 1 :]
             for bname, cb in clutched.items():
-                _add_term(out, bname, new_monos, cx * cy * cb)
+                add_term(out, (bname, new_words), cx * cy * cb)
     return MTildeElement._raw(m + n - 1, out)
 
 
@@ -334,10 +304,10 @@ def act(
     for i, value in enumerate(perm):
         inverse[value] = i
     out: dict[MTKey, Coeff] = {}
-    for (name, monos), c in x.terms.items():
-        new_monos = tuple(monos[inverse[i]] for i in range(n + 1))
+    for (name, words), c in x.terms.items():
+        new_words = tuple(words[inverse[i]] for i in range(n + 1))
         for bname, cb in base.act(n, perm, {name: 1}).items():
-            _add_term(out, bname, new_monos, c * cb)
+            add_term(out, (bname, new_words), c * cb)
     return MTildeElement._raw(n, out)
 
 
@@ -360,18 +330,13 @@ def psi_phi_classes(
         )
     if not 0 <= slot <= n:
         raise ValueError(f"slot {slot} outside 0..{n}")
-    phi_class = base.phi(n, slot)
-    ones = (MONO_ONE,) * (n + 1)
-    phi_terms: dict[MTKey, Coeff] = {}
-    for name, c in phi_class.items():
-        _add_term(phi_terms, name, ones, c)
-    phi_tilde = MTildeElement._raw(n, phi_terms)
-    algebra = base.algebra(n)
-    t1_slot = ones[:slot] + (((1, 1),),) + ones[slot + 1 :]
-    t1_terms: dict[MTKey, Coeff] = {}
-    _add_term(t1_terms, algebra.unit, t1_slot, 1)
-    psi_tilde = phi_tilde + MTildeElement._raw(n, t1_terms)
-    return psi_tilde, phi_tilde
+    ones = ((),) * (n + 1)
+    phi_tilde = MTildeElement._raw(
+        n, nonzero_terms({(name, ones): c for name, c in base.phi(n, slot).items()})
+    )
+    t1_slot = ones[:slot] + ((1,),) + ones[slot + 1 :]
+    t1_tilde = MTildeElement._raw(n, {(base.algebra(n).unit, t1_slot): 1})
+    return phi_tilde + t1_tilde, phi_tilde
 
 
 def morphism_F(
@@ -382,13 +347,13 @@ def morphism_F(
     if n == 1:
         return MTildeElement.zero(1)
     algebra = base.algebra(n)
-    ones = (MONO_ONE,) * (n + 1)
-    out: dict[MTKey, Coeff] = {}
-    for name, c in xi.items():
+    for name in xi:
         if name not in algebra.degrees:
             raise ConfigError(f"unknown basis name {name!r}")
-        _add_term(out, name, ones, Fraction(c))
-    return MTildeElement._raw(n, out)
+    ones = ((),) * (n + 1)
+    return MTildeElement._raw(
+        n, nonzero_terms({(name, ones): Fraction(c) for name, c in xi.items()})
+    )
 
 
 def important_b_check(
@@ -440,26 +405,27 @@ def important_b_check(
 # ---------------------------------------------------------------------------
 
 
-def _t0_free_monomials_upto(max_degree: int) -> list[Mono]:
-    out: list[Mono] = []
-    for degree in range(max_degree + 1):
-        for mono in monomials_of_degree(degree):
-            if all(var for var, _ in mono):
-                out.append(mono)
-    return out
+def _t0_free_words_upto(max_degree: int) -> list[Word]:
+    """The slot words of degree <= max_degree, in monomial order."""
+    keys = (
+        _split_mono(mono)
+        for degree in range(max_degree + 1)
+        for mono in monomials_of_degree(degree)
+    )
+    return [u for a, u in keys if not a]
 
 
 def _slot_tuples(
-    slots: int, max_degree: int, monos: list[Mono]
-) -> list[tuple[Mono, ...]]:
-    out: list[tuple[Mono, ...]] = [()]
+    slots: int, max_degree: int, words: list[Word]
+) -> list[tuple[Word, ...]]:
+    out: list[tuple[Word, ...]] = [()]
     for _ in range(slots):
         grown = []
         for acc in out:
-            used = sum(mono_degree(m) for m in acc)
-            for mono in monos:
-                if used + mono_degree(mono) <= max_degree:
-                    grown.append(acc + (mono,))
+            used = sum(map(sum, acc))
+            for u in words:
+                if used + sum(u) <= max_degree:
+                    grown.append(acc + (u,))
         out = grown
     return out
 
@@ -471,18 +437,16 @@ def spanning_elements(
     monomials of the t0-ring; above, every base basis class tensored with
     every slot tuple of bounded total degree."""
     if arity == 1:
-        out = []
-        for degree in range(max_degree + 1):
-            for mono in monomials_of_degree(degree):
-                out.append(MTildeElement.from_rt0(_mono_as_rt0(mono)))
-        return out
-    algebra = base.algebra(arity)
-    monos = _t0_free_monomials_upto(max_degree)
-    tuples = _slot_tuples(arity + 1, max_degree, monos)
+        return [
+            MTildeElement.from_rt0(RT0Element._raw({_split_mono(mono): 1}))
+            for degree in range(max_degree + 1)
+            for mono in monomials_of_degree(degree)
+        ]
+    tuples = _slot_tuples(arity + 1, max_degree, _t0_free_words_upto(max_degree))
     return [
-        MTildeElement._raw(arity, {(name, monos_tuple): 1})
-        for name in algebra.basis
-        for monos_tuple in tuples
+        MTildeElement._raw(arity, {(name, words): 1})
+        for name in base.algebra(arity).basis
+        for words in tuples
     ]
 
 
@@ -490,8 +454,8 @@ def _describe(x: MTildeElement) -> str:
     if x.arity == 1:
         return str(x.rt0)
     parts = []
-    for (name, monos), c in sorted(x.terms.items()):
-        slots = ",".join(mono_str(m) for m in monos)
+    for (name, words), c in sorted(x.terms.items()):
+        slots = ",".join(mono_str(_join_mono(0, u)) for u in words)
         parts.append(f"{c}*{name}({slots})")
     return " + ".join(parts) if parts else "0"
 

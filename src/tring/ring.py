@@ -25,7 +25,7 @@ I_n[t0], and RElement is its t0-free case, checked on construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TypeVar
 
 from .poly import (
     Mono,
@@ -75,6 +75,7 @@ Word = tuple[int, ...]
 Key = tuple[int, Word]
 Coeff = int | Fraction
 Terms = dict[Key, Coeff]
+K = TypeVar("K")
 
 
 def _split_mono(mono: Mono) -> Key:
@@ -89,13 +90,30 @@ def _join_mono(a: int, word: Word) -> Mono:
     return head + tuple(enumerate(word, start=1))
 
 
-def nonzero_terms(acc: Mapping[Key, Coeff]) -> Terms:
-    """The nonzero terms of acc, an integral coefficient as an int."""
+def nonzero_terms(acc: Mapping[K, Coeff]) -> dict[K, Coeff]:
+    """The nonzero terms of acc, an integral coefficient as an int.
+
+    With add_term, the one home of the coefficient rule of every sparse
+    map outside Polynomial (which keeps Fractions).  This is the one pass
+    over a large map that a product has filled with plain sums."""
     return {
         key: c.numerator if c.denominator == 1 else c
         for key, c in acc.items()
         if c
     }
+
+
+def add_term(acc: dict[K, Coeff], key: K, c: Coeff) -> None:
+    """Add c to acc[key], keeping acc under the rule of nonzero_terms;
+    for the few-term maps of base classes and operad terms, where a
+    final pass would cost more than it saves."""
+    if not c:
+        return
+    s = acc.get(key, 0) + c
+    if s:
+        acc[key] = s.numerator if s.denominator == 1 else s
+    elif key in acc:
+        del acc[key]
 
 
 def quasi_shuffle(u: Word, v: Word, memo: dict) -> dict[Word, int]:

@@ -45,9 +45,11 @@ from .ring import (  # InvalidElementError is re-exported
     InvalidElementError,
     Key,
     RT0Element,
+    Terms,
     Word,
     _join_mono,
     _split_mono,
+    add_term,
     dot_mul,
     nonzero_terms,
     project_components,
@@ -401,25 +403,14 @@ def substitute_class(
         raise base_algebra.DegreeMismatchError(
             "substitution class must be homogeneous of degree 1"
         )
-    parts = x.t0_coefficients()
-    out: dict[str, RT0Element] = {}
-    power = algebra.unit_element()
-    max_a = max(parts) if parts else -1
-    for a in range(max_a + 1):
-        if a:
-            power = algebra.mul(power, c)
-        if not power:
-            break
-        h = parts.get(a)
-        if h is None:
-            continue
-        for name, scalar in power.items():
-            acc = out.get(name, RT0Element.zero()) + h.scale(scalar)
-            if acc:
-                out[name] = acc
-            elif name in out:
-                del out[name]
-    return out
+    powers = [algebra.unit_element()]  # c^a; no product past the first zero
+    for _ in range(max((a for a, _ in x.terms), default=0)):
+        powers.append(algebra.mul(powers[-1], c) if powers[-1] else {})
+    out: dict[str, Terms] = {}
+    for (a, u), coeff in x.terms.items():
+        for name, scalar in powers[a].items():
+            add_term(out.setdefault(name, {}), (0, u), scalar * coeff)
+    return {name: RT0Element._raw(terms) for name, terms in out.items() if terms}
 
 
 # ---------------------------------------------------------------------------

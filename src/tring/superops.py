@@ -23,9 +23,10 @@ from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 from itertools import product as iter_product
 from operator import xor
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import solve_exact
+from .ring import Coeff, nonzero_terms
 
 Vector = tuple[Fraction, ...]
 BasisTuple = tuple[int, ...]
@@ -91,9 +92,6 @@ class SuperSpace:
                         f"({self.names[i]}, {self.names[j]})"
                     )
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     def b(self, i: int, j: int) -> Fraction:
         return self.pairing[i][j]
 
@@ -158,47 +156,31 @@ class DualBasisPair:
 
 
 class SuperTensor:
-    """A finite sum of decomposable basis tensors of a fixed width."""
+    """A finite sum of decomposable basis tensors of a fixed width; the
+    coefficients follow the rule of ``ring.nonzero_terms``."""
 
     __slots__ = ("slots", "coeffs")
 
     def __init__(self, slots: int, coeffs: Mapping[BasisTuple, Fraction | int] | None = None):
         if slots < 2:
             raise ValueError("tensors need at least two slots")
+        coeffs = coeffs or {}
+        for key in coeffs:
+            if len(key) != slots:
+                raise ValueError(f"tuple {key} does not have {slots} entries")
         self.slots = slots
-        self.coeffs: dict[BasisTuple, Fraction] = {}
-        if coeffs:
-            for key, value in coeffs.items():
-                if len(key) != slots:
-                    raise ValueError(f"tuple {key} does not have {slots} entries")
-                c = Fraction(value)
-                if c:
-                    self.coeffs[key] = c
+        self.coeffs: dict[BasisTuple, Coeff] = nonzero_terms(
+            {key: Fraction(value) for key, value in coeffs.items()}
+        )
 
     @classmethod
     def basis(cls, key: BasisTuple) -> "SuperTensor":
-        return cls(len(key), {key: Fraction(1)})
+        return cls(len(key), {key: 1})
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SuperTensor):
             return self.slots == other.slots and self.coeffs == other.coeffs
         return NotImplemented
-
-    def __add__(self, other: "SuperTensor") -> "SuperTensor":
-        if self.slots != other.slots:
-            raise ValueError("widths differ")
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            s = out.get(key, Fraction(0)) + value
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return SuperTensor(self.slots, out)
-
-    def scale(self, c: Fraction | int) -> "SuperTensor":
-        c = Fraction(c)
-        return SuperTensor(self.slots, {k: v * c for k, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -284,18 +266,13 @@ def es_compose(space: SuperSpace, v: SuperTensor, w: SuperTensor, j: int) -> Sup
     m = v.slots - 1
     if not 1 <= j <= m:
         raise ValueError(f"slot {j} outside [1,{m}]")
-    out: dict[BasisTuple, Fraction] = {}
+    out: dict[BasisTuple, Coeff] = {}
     for vt, cv in v.coeffs.items():
         for wt, cw in w.coeffs.items():
             contracted = _compose_raw(space, vt, wt, j)
-            if contracted is None:
-                continue
-            factor, key = contracted
-            s = out.get(key, Fraction(0)) + cv * cw * factor
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            if contracted is not None:
+                factor, key = contracted
+                out[key] = out.get(key, 0) + cv * cw * factor
     return SuperTensor(v.slots + w.slots - 2, out)
 
 
@@ -304,14 +281,10 @@ def es_permute(space: SuperSpace, perm: BasisTuple, v: SuperTensor) -> SuperTens
     if sorted(perm) != list(range(v.slots)):
         raise ValueError(f"{perm} is not a permutation of 0..{v.slots - 1}")
     word = _perm_word(perm)
-    out: dict[BasisTuple, Fraction] = {}
+    out: dict[BasisTuple, Coeff] = {}
     for key, coeff in v.coeffs.items():
         sign, image = _permute_raw(space, word, key)
-        s = out.get(image, Fraction(0)) + coeff * sign
-        if s:
-            out[image] = s
-        elif image in out:
-            del out[image]
+        out[image] = out.get(image, 0) + coeff * sign
     return SuperTensor(v.slots, out)
 
 
@@ -432,8 +405,10 @@ def vowa_check(
 # -- exhaustive axiom checker ----------------------------------------------------
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
+    """The outcome of one exhaustive check: every case counted, the first
+    failure kept."""
+
     ok: bool
     checked: int
     counterexample: str | None
@@ -639,9 +614,7 @@ def es_axiom_check(space: SuperSpace, max_arity: int = 3) -> dict[str, AxiomRepo
     )
 
 
-def vowa_exhaustive(
-    space: SuperSpace, max_arity: int = 3
-) -> tuple[bool, int, str | None]:
+def vowa_exhaustive(space: SuperSpace, max_arity: int = 3) -> AxiomReport:
     """Run the exchange identity of :func:`vowa_check` over all even basis
     tensors v, w, slots j and basis pairings alpha within the arity bound.
 
@@ -706,7 +679,7 @@ def vowa_exhaustive(
         for m, n in iter_product(arities, arities)
     )
     first = next(failures(), None)
-    return first is None, checked, first
+    return AxiomReport(first is None, checked, first)
 
 
 # -- ready-made spaces --------------------------------------------------------

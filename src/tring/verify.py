@@ -603,7 +603,7 @@ def run_vowa(bounds: Bounds) -> SuiteReport:
     resolved = bounds.resolved(dim=3, max_arity=3)
     report = SuiteReport("vowa", bounds.seed, resolved)
     for label, space, max_arity in _super_spaces(resolved["dim"], resolved["max_arity"]):
-        outcome = AxiomReport(*superops.vowa_exhaustive(space, max_arity=max_arity))
+        outcome = superops.vowa_exhaustive(space, max_arity=max_arity)
         report.add("pairing_exchange", f"{label} checked={outcome.checked}", outcome)
     return report
 

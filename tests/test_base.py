@@ -5,7 +5,6 @@ import pytest
 from tring.base import (
     ConfigError,
     GradedAlgebra,
-    alg_mul,
     load_config,
     rank2_base,
     resolve_base,
@@ -44,8 +43,8 @@ def test_rank2_base():
     base = rank2_base()
     algebra = base.algebra(2)
     h = {"h": ONE}
-    assert alg_mul(algebra, h, h) == {}
-    assert alg_mul(algebra, algebra.unit_element(), h) == h
+    assert algebra.mul(h, h) == {}
+    assert algebra.mul(algebra.unit_element(), h) == h
     assert base.phi(2, 0) == h
     assert algebra.is_homogeneous(h, 1)
 
@@ -147,6 +146,58 @@ def test_load_config(tmp_path):
         config.algebra(4)
     with pytest.raises(ConfigError):
         config.clutch(2, 2, 2, {"one": ONE}, {"one": ONE})
+
+
+RATIONAL_COMBOS = """
+[algebra n=2]
+basis one deg 0
+basis h deg 1
+mul one one = one
+mul one h = h
+mul h h = 0
+phi 0 = 1/2*h + 1/2*h
+phi 1 = h - h
+phi 2 = 2/3*h
+perm 0,2,1 h = 3/2*h + 3/2*h
+
+[algebra n=3]
+basis one deg 0
+basis h deg 1
+mul one one = one
+mul one h = h
+mul h h = 0
+
+clutch m=2 n=2 j=1 one one = 1/2*one + 1/2*one
+clutch m=2 n=2 j=1 one h = h
+clutch m=2 n=2 j=1 h one = -h
+clutch m=2 n=2 j=1 h h = 0
+"""
+
+
+def assert_coefficient_rule(x):
+    for c in x.values():
+        assert c and (type(c) is int or c.denominator != 1), x
+
+
+def test_load_config_keeps_the_coefficient_rule(tmp_path):
+    # a parsed combination drops the terms that cancel and keeps an
+    # integral coefficient as an int, as do the operations that use it
+    path = tmp_path / "rational.base"
+    path.write_text(RATIONAL_COMBOS)
+    config = load_config(path)
+    assert config.phi(2, 0) == {"h": 1} and type(config.phi(2, 0)["h"]) is int
+    assert config.phi(2, 1) == {}
+    assert config.phi(2, 2) == {"h": Fraction(2, 3)}
+    acted = config.act(2, (0, 2, 1), {"one": Fraction(2), "h": Fraction(1, 3)})
+    assert acted == {"one": 2, "h": 1}
+    assert config.act(2, (0, 2, 1), {"h": 0}) == {}
+    half = {"one": Fraction(1, 2), "h": Fraction(1, 2)}
+    clutched = config.clutch(2, 2, 1, half, {"one": 1, "h": 1})
+    assert clutched == {"one": Fraction(1, 2)}
+    assert config.clutch(2, 2, 1, {"one": Fraction(1, 2)}, {"one": 2}) == {"one": 1}
+    for x in (acted, clutched, config.clutch(2, 2, 1, {"one": Fraction(1, 2)}, {"one": 2})):
+        assert_coefficient_rule(x)
+    assert_coefficient_rule(config.algebra(2).mul(half, half))
 
 
 def test_load_config_rejects_bad_input(tmp_path):

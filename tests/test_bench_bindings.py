@@ -104,6 +104,27 @@ def test_tracer_sees_the_operad_kernels():
     assert t.figures()["mtilde.mt_mul.calls"] > 0
 
 
+def test_tracer_counts_the_super_checks():
+    # the tracer sums the checked counts from the return values of
+    # es_axiom_check (a dict of reports) and vowa_exhaustive (one report),
+    # so a change of either return shape shows here, not only in bench/
+    from tring.verify import Bounds, run_suite
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        reports = {name: run_suite(name, Bounds(dim=1)) for name in ("super", "vowa")}
+    finally:
+        t.restore()
+    figures = t.figures()
+    for name, figure in (("super", "es_axiom_check"), ("vowa", "vowa_exhaustive")):
+        report = reports[name]
+        assert report.all_passed()
+        checked = sum(int(c.params.rpartition("checked=")[2]) for c in report.checks)
+        assert checked > 0
+        assert figures[f"superops.{figure}.checked"] == checked
+
+
 def _tring_imports(path):
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tring":

@@ -212,6 +212,17 @@ def test_compose_validation():
         compose(tensor(2, "one", "1", "1", "1"), MT1("1"), 3, base)
 
 
+def test_slot_monomials_are_validated():
+    # a slot holds a t0-free monomial in t1, ..., tn without gaps
+    texts = ("t0*t1", "t0", "t1*t3", "t2")
+    monos = [next(iter(parse_polynomial(text).terms)) for text in texts]
+    for mono in monos + [((1, 1), (2, 0))]:  # the last one writes t1 as t1*t2^0
+        with pytest.raises(ValueError, match="invalid slot monomial"):
+            MTildeElement(2, {("one", (U, mono, U)): 1})
+    with pytest.raises(ValueError, match="expected 3 slots"):
+        MTildeElement(2, {("one", (U, U)): 1})
+
+
 def test_describe_pins_the_counterexample_text():
     # the axiom suites name failing elements by this text: terms sorted
     # by base name, then slot by slot, each slot a monomial or 1

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tring.poly import Polynomial, parse_polynomial
 from tring.ring import (
@@ -9,9 +10,11 @@ from tring.ring import (
     RElement,
     RdElement,
     RT0Element,
+    add_term,
     check_component,
     decode_rd,
     dot_mul,
+    nonzero_terms,
     project_to_level,
     r_mul,
     restrict_level,
@@ -172,3 +175,26 @@ def test_grading():
 def test_pairs_roundtrip():
     f = R((1, "t1^2"), (2, "3*t1*t2"))
     assert RElement.from_pairs(f.to_pairs()) == f
+
+
+# -- the coefficient rule ------------------------------------------------------
+
+# few keys and small denominators, so that sums often cancel or turn integral
+TERM_KEYS = [(0, ()), (1, (2,)), "h"]
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(TERM_KEYS), small_fractions), max_size=12))
+@example([((0, ()), Fraction(1, 2)), ((0, ()), Fraction(1, 2)), ("h", Fraction(1)), ("h", Fraction(-1))])
+def test_add_term_folds_to_nonzero_terms(pairs):
+    folded: dict = {}
+    sums: dict = {}
+    for key, c in pairs:
+        add_term(folded, key, c)
+        sums[key] = sums.get(key, 0) + c
+    expected = nonzero_terms(sums)
+    assert folded == expected
+    assert {k: type(c) for k, c in folded.items()} == {k: type(c) for k, c in expected.items()}
+    for c in folded.values():
+        assert c and (type(c) is int or c.denominator != 1)
