@@ -217,9 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_hide_negated(sys.argv[1:] if argv is None else argv))
+    # one parser per process, built on the first call: building it costs
+    # a sizeable share of a short request.  Each cmd_* still reads its
+    # module globals at call time, so rebinding one (as the tests and the
+    # benchmark tracer do) takes effect.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(_hide_negated(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except USAGE_ERRORS as err:

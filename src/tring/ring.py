@@ -25,6 +25,7 @@ I_n[t0], and RElement is its t0-free case, checked on construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, TypeVar
 
 from .poly import (
@@ -90,17 +91,42 @@ def _join_mono(a: int, word: Word) -> Mono:
     return head + tuple(enumerate(word, start=1))
 
 
-def nonzero_terms(acc: Mapping[K, Coeff]) -> dict[K, Coeff]:
-    """The nonzero terms of acc, an integral coefficient as an int.
+def nonzero_terms(acc: Mapping[K, Coeff], denominator: int = 1) -> dict[K, Coeff]:
+    """The nonzero terms of acc / denominator, an integral coefficient as
+    an int.
 
     With add_term, the one home of the coefficient rule of every sparse
     map outside Polynomial (which keeps Fractions).  This is the one pass
-    over a large map that a product has filled with plain sums."""
+    over a large map that a product has filled with plain sums.  A
+    denominator other than 1 comes from integral: acc then holds int
+    numerators, and each term costs one division."""
+    if denominator == 1:
+        return {
+            key: c.numerator if c.denominator == 1 else c
+            for key, c in acc.items()
+            if c
+        }
     return {
-        key: c.numerator if c.denominator == 1 else c
+        key: c // denominator if not c % denominator else Fraction(c, denominator)
         for key, c in acc.items()
         if c
     }
+
+
+def integral(terms: Mapping[K, Coeff]) -> tuple[Mapping[K, int], int]:
+    """(numerators, d) with terms = numerators / d, d the lcm of the
+    denominators: the form the product kernels accumulate in, so that
+    they add ints and divide once per output term (nonzero_terms).  A map
+    of ints comes back as it is, with d = 1."""
+    d = 1
+    exact = True
+    for c in terms.values():
+        if type(c) is not int:
+            exact = False
+            d = lcm(d, c.denominator)
+    if exact:
+        return terms, 1
+    return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
 
 
 def add_term(acc: dict[K, Coeff], key: K, c: Coeff) -> None:
@@ -148,17 +174,20 @@ def multiply_components(x: Terms, y: Terms) -> Terms:
 
     t0 is fixed by every increasing map, so its powers add, and the
     interval parts multiply by the quasi-shuffle (see quasi_shuffle).
+    The sums run on the int numerators of integral, over dx * dy.
     """
     memo: dict = {}
+    x, dx = integral(x)
+    y, dy = integral(y)
     right = list(y.items())
-    acc: dict[Key, Coeff] = {}
+    acc: dict[Key, int] = {}
     for (a, u), cx in x.items():
         for (b, v), cy in right:
             c = cx * cy
             for w, mult in quasi_shuffle(u, v, memo).items():
                 key = (a + b, w)
                 acc[key] = acc.get(key, 0) + c * mult
-    return nonzero_terms(acc)
+    return nonzero_terms(acc, dx * dy)
 
 
 def project_components(x: Components, d: int) -> Polynomial:

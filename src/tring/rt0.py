@@ -30,7 +30,6 @@ the expansion routines convert to and from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -51,6 +50,7 @@ from .ring import (  # InvalidElementError is re-exported
     _split_mono,
     add_term,
     dot_mul,
+    integral,
     nonzero_terms,
     project_components,
     quasi_shuffle,
@@ -94,11 +94,12 @@ def iota(x: RT0Element) -> RT0Element:
     the dot power (-(t0+t1))^a expands binomially, and t1^(a-i) is the
     quasi-shuffle power of the word (1).  It is a ring homomorphism for
     the dot product and an anti-homomorphism for odot; applying it twice
-    gives the identity.
+    gives the identity.  The sums run on the int numerators of integral.
     """
     memo: dict = {}
-    acc: dict[Key, Coeff] = {}
-    for (a, u), coeff in x.terms.items():
+    numerators, d = integral(x.terms)
+    acc: dict[Key, int] = {}
+    for (a, u), coeff in numerators.items():
         signed = -coeff if a % 2 else coeff
         words = {u[::-1]: 1}
         for c in range(a + 1):  # c = a - i factors (1)
@@ -107,7 +108,7 @@ def iota(x: RT0Element) -> RT0Element:
             weight = signed * comb(a, c)
             for w, mult in words.items():
                 acc[a - c, w] = acc.get((a - c, w), 0) + weight * mult
-    return RT0Element._raw(nonzero_terms(acc))
+    return RT0Element._raw(nonzero_terms(acc, d))
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +204,19 @@ def odot(x: RT0Element, y: RT0Element) -> RT0Element:
     _odot_monomials), with no truncation and no decode.  The odot
     verification suite checks it against two independent paths: the
     truncation (q_k at level deg x + deg y + 1, then decode) and, for a
-    t0-free right factor, the concatenation form.
+    t0-free right factor, the concatenation form.  The sums run on the
+    int numerators of integral, over dx * dy.
     """
-    right = list(y.terms.items())
-    acc: dict[Key, Coeff] = {}
-    for (a, u), cx in x.terms.items():
+    x_terms, dx = integral(x.terms)
+    y_terms, dy = integral(y.terms)
+    right = list(y_terms.items())
+    acc: dict[Key, int] = {}
+    for (a, u), cx in x_terms.items():
         for (b, v), cy in right:
             c = cx * cy
             for key, mult in _odot_monomials(a, u, b, v).items():
                 acc[key] = acc.get(key, 0) + c * mult
-    return RT0Element._raw(nonzero_terms(acc))
+    return RT0Element._raw(nonzero_terms(acc, dx * dy))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +319,7 @@ def _check_basis_degree(x: RT0Element) -> None:
 
 def odot_basis_expand(
     x: RT0Element, kind: str = "structure"
-) -> dict[tuple[int, ...], Fraction]:
+) -> dict[tuple[int, ...], Coeff]:
     """Exact coefficients of x in the odot-word basis.
 
     Works degree by degree; the change-of-basis matrix in each degree is
@@ -326,7 +330,7 @@ def odot_basis_expand(
     if kind not in _WORD_EVALUATORS:
         raise ValueError(f"unknown basis kind {kind!r}")
     _check_basis_degree(x)
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Coeff] = {}
     for degree, part in x.homogeneous_parts().items():
         matrix, words, monos = _basis_matrix(degree, kind)
         rhs = [part.terms.get(_split_mono(m), 0) for m in monos]
@@ -335,26 +339,23 @@ def odot_basis_expand(
             raise ConsistencyError(
                 f"degree-{degree} word basis matrix is singular"
             )
-        for word, coeff in zip(words, solution):
-            if coeff:
-                out[word] = coeff
+        out.update(nonzero_terms(dict(zip(words, solution))))
     return out
 
 
-def odot_basis_expand_iota(x: RT0Element) -> dict[tuple[int, ...], Fraction]:
+def odot_basis_expand_iota(x: RT0Element) -> dict[tuple[int, ...], Coeff]:
     """Expansion in the involution-conjugated word basis.
 
     Obtained by expanding iota(x) in the plain word basis and conjugating
     word by word: each word reverses and picks up the parity sign of its
-    total t0 weight.
+    total t0 weight.  A sign keeps the coefficient rule of the expansion.
     """
     _check_basis_degree(x)  # before iota, whose cost grows as fast
     inner = odot_basis_expand(iota(x), "structure")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for word, coeff in inner.items():
-        sign = -1 if sum(word) % 2 else 1
-        out[tuple(reversed(word))] = coeff * sign
-    return out
+    return {
+        word[::-1]: -coeff if sum(word) % 2 else coeff
+        for word, coeff in inner.items()
+    }
 
 
 def leading_term_check(x: RT0Element) -> bool:

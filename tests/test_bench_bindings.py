@@ -61,6 +61,24 @@ def test_tracer_installs_restores_and_reads_its_figures():
     assert figures["ring.multiply_components.calls"] == 1
 
 
+def test_tracer_counts_one_call_per_operand_and_product(capsys):
+    # the per-layer figures of a request read as one parse per operand,
+    # one product kernel call and one format of the result
+    from tring import cli
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert cli.main(["dot", "1/2*t1", "2/3*t1 + t0"]) == 0
+    finally:
+        t.restore()
+    assert capsys.readouterr().out == "1/2*t0*t1 + 1/3*t1^2 + 2/3*t1*t2\n"
+    figures = t.figures()
+    assert figures["poly.parse_polynomial.calls"] == 2
+    assert figures["ring.multiply_components.calls"] == 1
+    assert figures["poly.format_polynomial.calls"] == 1
+
+
 def test_tracer_counts_the_terms_of_odot(capsys):
     # the figure is read through the Polynomial components view
     from tring import cli

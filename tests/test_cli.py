@@ -113,6 +113,52 @@ def test_parse_and_validation_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        # a superscript two used to reach int() and fail with no position
+        ("t1^\u00b2", "error: unexpected character '\u00b2' (at position 3)\n"),
+        # an Arabic-Indic three used to be read as 3
+        ("\u0663*t1", "error: unexpected character '\u0663' (at position 0)\n"),
+    ],
+    ids=["superscript-two", "arabic-indic-three"],
+)
+def test_number_tokens_are_ascii_digits(capsys, expression, message):
+    assert run_cli(capsys, "eval", expression) == (2, "", message)
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dot", "t1"])
+    assert exc.value.code == 2
+    usage_error = capsys.readouterr().err
+    assert usage_error.splitlines()[-1].endswith(
+        "error: the following arguments are required: right"
+    )
+    # an option given in one call does not stay set for the next
+    code, out, _ = run_cli(capsys, "basis", "t0*t1", "--which", "iota-basis")
+    assert (code, out) == (0, "1 * ((t0+t1) (*) 1) + -1 * (1 (*) 1 (*) 1)\n")
+    assert run_cli(capsys, "basis", "t0*t1") == (0, "1 * (t0 (*) 1)\n", "")
+    code, out, _ = run_cli(capsys, "verify", "identity", "--json")
+    assert code == 0 and json.loads(out)["suite"] == "identity"
+    code, out, _ = run_cli(capsys, "verify", "identity")
+    assert code == 0 and out.startswith("ok   unit_insertion_identity n=0\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dot", "t1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == usage_error
+    assert len(builds) == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "no-such-suite"])

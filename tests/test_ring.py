@@ -14,6 +14,7 @@ from tring.ring import (
     check_component,
     decode_rd,
     dot_mul,
+    integral,
     nonzero_terms,
     project_to_level,
     r_mul,
@@ -198,3 +199,26 @@ def test_add_term_folds_to_nonzero_terms(pairs):
     assert {k: type(c) for k, c in folded.items()} == {k: type(c) for k, c in expected.items()}
     for c in folded.values():
         assert c and (type(c) is int or c.denominator != 1)
+
+
+# ints, Fractions over denominators up to 12 (some integral, such as
+# Fraction(3)) and zeros, on keys of any kind
+mixed_coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(TERM_KEYS + [2, 3, 4]), mixed_coefficients, max_size=7))
+@example({(0, ()): Fraction(1, 2), "h": Fraction(2, 3), 2: Fraction(-5, 4), 3: 0})
+@example({(0, ()): 3, "h": -1, 2: 0})
+@example({"h": Fraction(3), 2: Fraction(1, 3)})
+def test_integral_then_nonzero_terms_is_nonzero_terms(terms):
+    numerators, d = integral(terms)
+    assert d >= 1 and all(type(c) is int for c in numerators.values())
+    if all(type(c) is int for c in terms.values()):
+        assert numerators is terms and d == 1
+    got, expected = nonzero_terms(numerators, d), nonzero_terms(terms)
+    assert list(got.items()) == list(expected.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in expected.values()]

@@ -321,6 +321,53 @@ def test_odot_matches_concatenation(x, g):
     assert odot(x, g) == _concatenation(x, g)
 
 
+# the integer-numerator kernels against the Fraction references: operands
+# whose denominators mix 2, 3, 4 and 6, so that a product's common
+# denominator exceeds every coefficient's, terms cancel and quotients
+# come out integral; an empty operand is the zero element
+_MIXED_COEFFICIENTS = [
+    Fraction(c) for c in ("1", "-1", "2", "1/2", "-1/2", "1/3", "-2/3", "3/2", "3/4", "-5/6")
+]
+_mixed_sums = st.dictionaries(
+    st.sampled_from([m for n in range(3) for m in monomials_of_degree(n)]),
+    st.sampled_from(_MIXED_COEFFICIENTS),
+    max_size=5,
+).map(lambda terms: RT0Element.from_polynomial(Polynomial(terms)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_sums, _mixed_sums)
+def test_integer_kernels_match_the_fraction_references(x, y):
+    d = max(x.degree() + y.degree(), 0)
+    value = project_components(x.components, d) * project_components(y.components, d)
+    product = dot_mul(x, y)
+    assert product == RT0Element(decode_components(value, d))
+    level = d + 1
+    raised = odot(x, y)
+    assert raised == RT0Element(decode_components(q_k(x, y, level), level))
+    image = iota(x)
+    assert iota(image) == x
+    for z in (product, raised, image):
+        assert _is_canonical(z)
+
+
+def test_integer_kernels_cancel_and_divide_back_to_ints():
+    # the t0*t1 terms cancel: 1/2 * -1/3 + 1/3 * 1/2 = 0 over 36
+    assert dot_mul(E("1/2*t0 + 1/3*t1"), E("1/2*t0 - 1/3*t1")) == E(
+        "1/4*t0^2 - 1/9*t1^2 - 2/9*t1*t2"
+    )
+    # numerators over 6 that divide back to ints
+    product, raised = dot_mul(E("3/2*t1"), E("2/3*t1")), odot(E("3/2*t1"), E("2/3*t0"))
+    assert product.terms == {(0, (1, 1)): 2, (0, (2,)): 1}
+    assert raised.terms == {(0, (1, 2)): 1, (0, (1, 1, 1)): 2, (0, (2, 1)): 1, (1, (1, 1)): 1}
+    for z in (product, raised):
+        assert all(type(c) is int for c in z.terms.values())
+    # iota(t0) = -t0 - t1 and iota(t1) = t1, so the t1 terms cancel
+    assert iota(E("1/2*t0 + 1/2*t1")).terms == {(1, ()): Fraction(-1, 2)}
+    assert dot_mul(E("1/2*t1"), RT0Element.zero()) == RT0Element.zero()
+    assert odot(RT0Element.zero(), E("2/3*t0")) == RT0Element.zero()
+
+
 def test_scaling_to_an_integral_coefficient():
     half = E("2*t1").scale(Fraction(1, 2))
     assert half == E("t1") and hash(half) == hash(E("t1"))
