@@ -8,8 +8,8 @@ coefficient theory the operad layer is run against; the built-in
 adjoins a single square-zero class.
 
 Elements of an algebra are mappings from basis names to rational
-coefficients under the coefficient rule of ``ring.add_term`` and
-``ring.nonzero_terms``: no zero coefficient is stored, and a coefficient
+coefficients under the coefficient rule of ``poly.add_term`` and
+``poly.nonzero_terms``: no zero coefficient is stored, and a coefficient
 is an int when it is integral.  Structure constants, clutching tables
 and parsed config coefficients follow the same rule, so products over
 the built-in bases stay in int arithmetic.
@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .ring import Coeff, add_term, nonzero_terms
+from .poly import Coeff, add_term, nonzero_terms
 
 AlgebraElement = dict[str, Coeff]
 

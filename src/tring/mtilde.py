@@ -20,7 +20,7 @@ permutation action moves slots and lets the config act on the base
 class.
 
 Terms follow the coefficient rule of RT0Element, through
-``ring.add_term``/``nonzero_terms``: no zero coefficient is kept, and a
+``poly.add_term``/``nonzero_terms``: no zero coefficient is kept, and a
 coefficient is an int when it is integral.  A slot holds the ring's word
 u of the key (0, u) (the empty word is the unit slot), so slot products
 are quasi-shuffles; slots are Monos only in the constructor and in
@@ -36,15 +36,12 @@ from functools import lru_cache
 from typing import Mapping
 
 from .base import AlgebraElement, BaseOperadConfig, ConfigError
-from .poly import Mono, mono_str
+from .poly import Coeff, Mono, add_term, mono_str, nonzero_terms
 from .ring import (
-    Coeff,
     Word,
     _join_mono,
     _split_mono,
-    add_term,
     interval_length,
-    nonzero_terms,
     quasi_shuffle,
 )
 from .rt0 import (
@@ -148,7 +145,7 @@ class MTildeElement:
 
     @classmethod
     def _raw(cls, arity: int, terms: dict[MTKey, Coeff]) -> "MTildeElement":
-        """Wrap terms under the rule of ring.nonzero_terms (no zeros,
+        """Wrap terms under the rule of poly.nonzero_terms (no zeros,
         integral coefficients as int)."""
         elt = cls.__new__(cls)
         elt.arity = arity

@@ -6,8 +6,14 @@ variables t1, t2, ... that the strictly increasing maps act on.
 
 A monomial is stored as a tuple of (variable, exponent) pairs, sorted by
 variable index, with every stored exponent positive.  A polynomial is a
-mapping from monomials to nonzero Fraction coefficients.  All values are
+mapping from monomials to nonzero coefficients.  All values are
 immutable after construction and safe to share between threads.
+
+Every sparse term map of the package, Polynomial included, keeps one
+coefficient rule: no zero term, and a coefficient is an int when it is
+integral and a Fraction only where a denominator appears.  Its one home
+is here, at the bottom of the import graph: nonzero_terms and add_term
+(with integral, the form the product kernels add in).
 """
 
 from __future__ import annotations
@@ -16,14 +22,67 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from math import lcm
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
-Scalar = Fraction
 Mono = tuple[tuple[int, int], ...]
 
 ScalarLike = Union[Fraction, int]
+Coeff = int | Fraction
+K = TypeVar("K")
 
 MONO_ONE: Mono = ()
+
+
+def nonzero_terms(acc: Mapping[K, Coeff], denominator: int = 1) -> dict[K, Coeff]:
+    """The nonzero terms of acc / denominator, an integral coefficient as
+    an int.
+
+    With add_term, the one home of the coefficient rule of every sparse
+    term map.  This is the one pass over a large map that a product has
+    filled with plain sums.  A denominator other than 1 comes from
+    integral: acc then holds int numerators, and each term costs one
+    division."""
+    if denominator == 1:
+        return {
+            key: c.numerator if c.denominator == 1 else c
+            for key, c in acc.items()
+            if c
+        }
+    return {
+        key: c // denominator if not c % denominator else Fraction(c, denominator)
+        for key, c in acc.items()
+        if c
+    }
+
+
+def integral(terms: Mapping[K, Coeff]) -> tuple[Mapping[K, int], int]:
+    """(numerators, d) with terms = numerators / d, d the lcm of the
+    denominators: the form the product kernels accumulate in, so that
+    they add ints and divide once per output term (nonzero_terms).  A map
+    of ints comes back as it is, with d = 1."""
+    d = 1
+    exact = True
+    for c in terms.values():
+        if type(c) is not int:
+            exact = False
+            d = lcm(d, c.denominator)
+    if exact:
+        return terms, 1
+    return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
+
+
+def add_term(acc: dict[K, Coeff], key: K, c: Coeff) -> None:
+    """Add c to acc[key], keeping acc under the rule of nonzero_terms;
+    for sums term by term, where a final pass would cost more than it
+    saves."""
+    if not c:
+        return
+    s = acc.get(key, 0) + c
+    if s:
+        acc[key] = s.numerator if s.denominator == 1 else s
+    elif key in acc:
+        del acc[key]
 
 
 class DomainError(ValueError):
@@ -89,7 +148,7 @@ def _mono_sort_key(a: Mono) -> tuple:
 
 
 class Polynomial:
-    """Exact-rational sparse polynomial.
+    """Exact-rational sparse polynomial; its terms follow nonzero_terms.
 
     >>> p = Polynomial.variable(1) + Polynomial.variable(2)
     >>> str(p * p)
@@ -99,13 +158,9 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Mono, ScalarLike] | None = None):
-        normalized: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    normalized[mono] = c
-        self.terms = normalized
+        self.terms: dict[Mono, Coeff] = nonzero_terms(
+            {mono: Fraction(c) for mono, c in (terms or {}).items()}
+        )
 
     # -- constructors -------------------------------------------------
 
@@ -119,7 +174,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, c: ScalarLike) -> "Polynomial":
-        return cls({MONO_ONE: Fraction(c)})
+        return cls({MONO_ONE: c})
 
     @classmethod
     def variable(cls, index: int, exp: int = 1) -> "Polynomial":
@@ -133,7 +188,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, exps: Mapping[int, int], coeff: ScalarLike = 1) -> "Polynomial":
-        return cls({mono_from_dict(exps): Fraction(coeff)})
+        return cls({mono_from_dict(exps): coeff})
 
     # -- basic queries -------------------------------------------------
 
@@ -159,13 +214,13 @@ class Polynomial:
             out.update(var for var, _ in m)
         return frozenset(out)
 
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Mono) -> Coeff:
+        return self.terms.get(mono, 0)
 
-    def items(self) -> Iterator[tuple[Mono, Fraction]]:
+    def items(self) -> Iterator[tuple[Mono, Coeff]]:
         return iter(self.terms.items())
 
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Mono, Coeff]]:
         return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
 
     # -- arithmetic ----------------------------------------------------
@@ -178,15 +233,7 @@ class Polynomial:
             return other
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            c = terms.get(mono)
-            if c is None:
-                terms[mono] = coeff
-            else:
-                c = c + coeff
-                if c:
-                    terms[mono] = c
-                else:
-                    del terms[mono]
+            add_term(terms, mono, coeff)
         return _raw(terms)
 
     __radd__ = __add__
@@ -204,17 +251,12 @@ class Polynomial:
         other = _coerce(other)
         if not self.terms or not other.terms:
             return Polynomial.zero()
-        terms: dict[Mono, Fraction] = {}
+        terms: dict[Mono, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = mono_mul(m1, m2)
-                c = terms.get(mono)
-                c = c1 * c2 if c is None else c + c1 * c2
-                if c:
-                    terms[mono] = c
-                elif mono in terms:
-                    del terms[mono]
-        return _raw(terms)
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return _raw(nonzero_terms(terms))
 
     __rmul__ = __mul__
 
@@ -225,9 +267,7 @@ class Polynomial:
 
     def scale(self, c: ScalarLike) -> "Polynomial":
         c = Fraction(c)
-        if not c:
-            return Polynomial.zero()
-        return _raw({m: coeff * c for m, coeff in self.terms.items()})
+        return _raw(nonzero_terms({m: coeff * c for m, coeff in self.terms.items()}))
 
     # -- substitutions ---------------------------------------------------
 
@@ -259,17 +299,12 @@ class Polynomial:
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Relabel variables t_i -> t_mapping[i]; indices not mapped stay put."""
-        terms: dict[Mono, Fraction] = {}
+        terms: dict[Mono, Coeff] = {}
         for mono, coeff in self.terms.items():
             new = mono_from_dict(
                 _merge_exps((mapping.get(var, var), exp) for var, exp in mono)
             )
-            c = terms.get(new)
-            c = coeff if c is None else c + coeff
-            if c:
-                terms[new] = c
-            elif new in terms:
-                del terms[new]
+            add_term(terms, new, coeff)
         return _raw(terms)
 
     # -- comparison / display -------------------------------------------
@@ -291,7 +326,7 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def _raw(terms: dict[Mono, Fraction]) -> Polynomial:
+def _raw(terms: dict[Mono, Coeff]) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p.terms = terms
     return p
@@ -390,19 +425,14 @@ def pullback(alpha: IncreasingMap, p: Polynomial) -> Polynomial:
             )
     backward = {v: j + 1 for j, v in enumerate(alpha.values)}
     image = alpha.image()
-    terms: dict[Mono, Fraction] = {}
+    terms: dict[Mono, Coeff] = {}
     for mono, coeff in p.terms.items():
         if any(var > 0 and var not in image for var, _ in mono):
             continue
         new = tuple(
             sorted((backward.get(var, var), exp) for var, exp in mono)
         )
-        c = terms.get(new)
-        c = coeff if c is None else c + coeff
-        if c:
-            terms[new] = c
-        elif new in terms:
-            del terms[new]
+        add_term(terms, new, coeff)
     return _raw(terms)
 
 

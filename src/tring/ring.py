@@ -25,15 +25,19 @@ I_n[t0], and RElement is its t0-free case, checked on construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping
 
-from .poly import (
+from .poly import (  # Coeff and the rule's helpers are re-exported
+    Coeff,
     Mono,
     Polynomial,
     ScalarLike,
+    _raw as _raw_polynomial,
+    add_term,
     enumerate_increasing_maps,
+    integral,
     mono_str,
+    nonzero_terms,
     positive_support,
     pushforward,
 )
@@ -74,9 +78,7 @@ def check_component(n: int, p: Polynomial) -> bool:
 
 Word = tuple[int, ...]
 Key = tuple[int, Word]
-Coeff = int | Fraction
 Terms = dict[Key, Coeff]
-K = TypeVar("K")
 
 
 def _split_mono(mono: Mono) -> Key:
@@ -89,57 +91,6 @@ def _split_mono(mono: Mono) -> Key:
 def _join_mono(a: int, word: Word) -> Mono:
     head = ((0, a),) if a else ()
     return head + tuple(enumerate(word, start=1))
-
-
-def nonzero_terms(acc: Mapping[K, Coeff], denominator: int = 1) -> dict[K, Coeff]:
-    """The nonzero terms of acc / denominator, an integral coefficient as
-    an int.
-
-    With add_term, the one home of the coefficient rule of every sparse
-    map outside Polynomial (which keeps Fractions).  This is the one pass
-    over a large map that a product has filled with plain sums.  A
-    denominator other than 1 comes from integral: acc then holds int
-    numerators, and each term costs one division."""
-    if denominator == 1:
-        return {
-            key: c.numerator if c.denominator == 1 else c
-            for key, c in acc.items()
-            if c
-        }
-    return {
-        key: c // denominator if not c % denominator else Fraction(c, denominator)
-        for key, c in acc.items()
-        if c
-    }
-
-
-def integral(terms: Mapping[K, Coeff]) -> tuple[Mapping[K, int], int]:
-    """(numerators, d) with terms = numerators / d, d the lcm of the
-    denominators: the form the product kernels accumulate in, so that
-    they add ints and divide once per output term (nonzero_terms).  A map
-    of ints comes back as it is, with d = 1."""
-    d = 1
-    exact = True
-    for c in terms.values():
-        if type(c) is not int:
-            exact = False
-            d = lcm(d, c.denominator)
-    if exact:
-        return terms, 1
-    return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
-
-
-def add_term(acc: dict[K, Coeff], key: K, c: Coeff) -> None:
-    """Add c to acc[key], keeping acc under the rule of nonzero_terms;
-    for the few-term maps of base classes and operad terms, where a
-    final pass would cost more than it saves."""
-    if not c:
-        return
-    s = acc.get(key, 0) + c
-    if s:
-        acc[key] = s.numerator if s.denominator == 1 else s
-    elif key in acc:
-        del acc[key]
 
 
 def quasi_shuffle(u: Word, v: Word, memo: dict) -> dict[Word, int]:
@@ -209,7 +160,7 @@ def decode_components(value: Polynomial, d: int) -> Components:
     Raises NotInRingError when re-projecting the result does not give the
     input back, which is exactly the failure of membership at level d.
     """
-    groups: dict[int, dict[Mono, Fraction]] = {}
+    groups: dict[int, dict[Mono, Coeff]] = {}
     prefixes = {frozenset(range(1, n + 1)): n for n in range(d + 1)}
     for mono, coeff in value.terms.items():
         n = prefixes.get(positive_support(mono))
@@ -217,7 +168,7 @@ def decode_components(value: Polynomial, d: int) -> Components:
             groups.setdefault(n, {})[mono] = coeff
         # terms with non-prefix support are regenerated by the projection
         # of the prefix components; the roundtrip below arbitrates
-    components = {n: Polynomial(terms) for n, terms in groups.items()}
+    components = {n: _raw_polynomial(terms) for n, terms in groups.items()}
     if project_components(components, d) != value:
         raise NotInRingError(f"polynomial is not a level-{d} projection")
     return components
@@ -236,7 +187,7 @@ class RT0Element:
                     f"component {n} does not have support t1..t{n}: {p}"
                 )
             terms.update((_split_mono(mono), c) for mono, c in p.terms.items())
-        self.terms = nonzero_terms(terms)
+        self.terms = terms
 
     @classmethod
     def _raw(cls, terms: Terms) -> "RT0Element":
@@ -273,9 +224,7 @@ class RT0Element:
                     f"not a valid element: monomial {mono_str(mono)} "
                     f"skips an interval variable"
                 )
-        return RT0Element._raw(
-            nonzero_terms({_split_mono(m): c for m, c in p.terms.items()})
-        )
+        return RT0Element._raw({_split_mono(m): c for m, c in p.terms.items()})
 
     @staticmethod
     def from_text(text: str) -> "RT0Element":
@@ -291,10 +240,10 @@ class RT0Element:
         grouped: dict[int, dict[Mono, Coeff]] = {}
         for (a, u), c in self.terms.items():
             grouped.setdefault(len(u), {})[_join_mono(a, u)] = c
-        return {n: Polynomial(t) for n, t in grouped.items()}
+        return {n: _raw_polynomial(t) for n, t in grouped.items()}
 
     def to_polynomial(self) -> Polynomial:
-        return Polynomial({_join_mono(a, u): c for (a, u), c in self.terms.items()})
+        return _raw_polynomial({_join_mono(a, u): c for (a, u), c in self.terms.items()})
 
     def __str__(self) -> str:
         return str(self.to_polynomial())

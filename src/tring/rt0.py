@@ -33,13 +33,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import base as base_algebra
 from .linalg import solve_exact
-from .poly import Mono, Polynomial, _mono_sort_key
-from .ring import (  # InvalidElementError is re-exported
+from .poly import (
     Coeff,
+    Mono,
+    Polynomial,
+    _mono_sort_key,
+    add_term,
+    integral,
+    nonzero_terms,
+)
+from .ring import (  # InvalidElementError is re-exported
     Components,
     InvalidElementError,
     Key,
@@ -48,10 +55,7 @@ from .ring import (  # InvalidElementError is re-exported
     Word,
     _join_mono,
     _split_mono,
-    add_term,
     dot_mul,
-    integral,
-    nonzero_terms,
     project_components,
     quasi_shuffle,
 )
@@ -76,14 +80,19 @@ def _psi1_power(exp: int) -> RT0Element:
     return dot_power(RT0Element.from_text("t0+t1"), exp)
 
 
-def _fold_one(words: Mapping[Word, int], memo: dict) -> dict[Word, int]:
-    """The quasi-shuffle of a word combination with the word (1): one
-    more dot factor t1."""
+@lru_cache(maxsize=4096)
+def _stuffle_ones(word: Word, c: int) -> tuple[tuple[Word, int], ...]:
+    """The quasi-shuffle word * (1)^{*c}, as (word, multiplicity) pairs:
+    the product of the monomial keyed by word with the c-th dot power of
+    t1, folded one factor (1) at a time."""
+    if c == 0:
+        return ((word, 1),)
+    memo: dict = {}
     out: dict[Word, int] = {}
-    for w, mult in words.items():
+    for w, mult in _stuffle_ones(word, c - 1):
         for v, m in quasi_shuffle(w, (1,), memo).items():
             out[v] = out.get(v, 0) + mult * m
-    return out
+    return tuple(out.items())
 
 
 def iota(x: RT0Element) -> RT0Element:
@@ -96,17 +105,13 @@ def iota(x: RT0Element) -> RT0Element:
     the dot product and an anti-homomorphism for odot; applying it twice
     gives the identity.  The sums run on the int numerators of integral.
     """
-    memo: dict = {}
     numerators, d = integral(x.terms)
     acc: dict[Key, int] = {}
     for (a, u), coeff in numerators.items():
         signed = -coeff if a % 2 else coeff
-        words = {u[::-1]: 1}
         for c in range(a + 1):  # c = a - i factors (1)
-            if c:
-                words = _fold_one(words, memo)
             weight = signed * comb(a, c)
-            for w, mult in words.items():
+            for w, mult in _stuffle_ones(u[::-1], c):
                 acc[a - c, w] = acc.get((a - c, w), 0) + weight * mult
     return RT0Element._raw(nonzero_terms(acc, d))
 
@@ -165,16 +170,6 @@ def _concatenation(x: RT0Element, y: RT0Element) -> RT0Element:
 # ---------------------------------------------------------------------------
 # The odot product in closed form
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=4096)
-def _stuffle_ones(word: Word, c: int) -> tuple[tuple[Word, int], ...]:
-    """The quasi-shuffle word * (1)^{*c}, as (word, multiplicity) pairs:
-    the product of the monomial keyed by word with the c-th dot power of
-    t1, folded one factor (1) at a time."""
-    if c == 0:
-        return ((word, 1),)
-    return tuple(_fold_one(dict(_stuffle_ones(word, c - 1)), {}).items())
 
 
 def _odot_monomials(a: int, u: Word, b: int, v: Word) -> dict[Key, int]:

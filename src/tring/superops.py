@@ -26,7 +26,7 @@ from operator import xor
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import solve_exact
-from .ring import Coeff, nonzero_terms
+from .poly import Coeff, nonzero_terms
 
 Vector = tuple[Fraction, ...]
 BasisTuple = tuple[int, ...]
@@ -64,20 +64,17 @@ class SuperSpace:
         self.names = tuple(names)
         self.parity = tuple(int(p) % 2 for p in parity)
         self.dim = len(self.names)
-        self.pairing = tuple(
-            tuple(Fraction(entry) for entry in row) for row in pairing
-        )
-        # the raw kernels read the entries as int wherever the denominator
-        # is 1 (every built-in entry is 0 or +-1) and as Fraction otherwise
-        self._kernel_pairing = tuple(
-            tuple(e.numerator if e.denominator == 1 else e for e in row)
-            for row in self.pairing
+        if any(len(row) != self.dim for row in pairing):
+            raise PairingError("pairing matrix is not square")
+        # the entries follow the rule of nonzero_terms, so over the
+        # built-in spaces (every entry 0 or +-1) the kernels multiply ints
+        self.pairing: tuple[tuple[Coeff, ...], ...] = tuple(
+            tuple(e.numerator if e.denominator == 1 else e for e in map(Fraction, row))
+            for row in pairing
         )
         # filled by the Koszul signs of the compositions on this space
         self._suffix_parity = _SuffixParities(self.parity)
         for i in range(self.dim):
-            if len(self.pairing[i]) != self.dim:
-                raise PairingError("pairing matrix is not square")
             for j in range(self.dim):
                 value = self.pairing[i][j]
                 if self.parity[i] != self.parity[j] and value:
@@ -92,7 +89,7 @@ class SuperSpace:
                         f"({self.names[i]}, {self.names[j]})"
                     )
 
-    def b(self, i: int, j: int) -> Fraction:
+    def b(self, i: int, j: int) -> Coeff:
         return self.pairing[i][j]
 
     def dual_pair(self) -> "DualBasisPair":
@@ -157,7 +154,7 @@ class DualBasisPair:
 
 class SuperTensor:
     """A finite sum of decomposable basis tensors of a fixed width; the
-    coefficients follow the rule of ``ring.nonzero_terms``."""
+    coefficients follow the rule of ``poly.nonzero_terms``."""
 
     __slots__ = ("slots", "coeffs")
 
@@ -201,7 +198,7 @@ def _compose_raw(
     space: SuperSpace, v: BasisTuple, w: BasisTuple, j: int
 ) -> tuple[int | Fraction, BasisTuple] | None:
     # the Koszul sign takes two lookups in the space's per-tuple parity table
-    factor = space._kernel_pairing[v[j]][w[0]]
+    factor = space.pairing[v[j]][w[0]]
     if not factor:
         return None
     suffix = space._suffix_parity
@@ -244,7 +241,7 @@ def _pair_raw(
     space: SuperSpace, v: BasisTuple, a: BasisTuple
 ) -> int | Fraction:
     parity = space.parity
-    pairing = space._kernel_pairing
+    pairing = space.pairing
     value = 1
     seen = 0
     sign_exp = 0
@@ -347,7 +344,6 @@ def vowa_check(
     w: SuperTensor,
     j: int,
     alpha: BasisTuple,
-    require_sign_agreement: bool = True,
 ) -> bool:
     """Verify that pairing a composition against a decomposable tensor
     equals the insertion sum over the dual pair.
@@ -396,7 +392,7 @@ def vowa_check(
                     term += ck * cl * left_value * right_value
         if not term:
             continue
-        if require_sign_agreement and (exponent - p_primal) % 2:
+        if (exponent - p_primal) % 2:
             return False
         rhs += -term if exponent & 1 else term
     return lhs == rhs
@@ -688,10 +684,7 @@ def vowa_exhaustive(space: SuperSpace, max_arity: int = 3) -> AxiomReport:
 def even_space(dim: int) -> SuperSpace:
     """All-even space with the identity pairing."""
     names = [f"e{i+1}" for i in range(dim)]
-    pairing = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(dim)]
-        for i in range(dim)
-    ]
+    pairing = [[int(i == j) for j in range(dim)] for i in range(dim)]
     return SuperSpace(names, [0] * dim, pairing)
 
 
@@ -712,14 +705,14 @@ def mixed_space(dim: int) -> SuperSpace:
         raise ValueError(f"no mixed space of dimension {dim} is provided")
     parities = _MIXED_PARITIES[dim]
     dim_total = len(parities)
-    pairing = [[Fraction(0)] * dim_total for _ in range(dim_total)]
+    pairing = [[0] * dim_total for _ in range(dim_total)]
     odd_indices = [i for i, p in enumerate(parities) if p]
     for i, p in enumerate(parities):
         if not p:
-            pairing[i][i] = Fraction(1)
+            pairing[i][i] = 1
     for a, b in zip(odd_indices[::2], odd_indices[1::2]):
-        pairing[a][b] = Fraction(1)
-        pairing[b][a] = Fraction(-1)
+        pairing[a][b] = 1
+        pairing[b][a] = -1
     names = []
     evens = odds = 0
     for p in parities:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tring.poly import (
     DomainError,
@@ -11,10 +11,12 @@ from tring.poly import (
     Polynomial,
     enumerate_increasing_maps,
     format_polynomial,
+    mono_mul,
     parse_polynomial,
     pullback,
     pushforward,
 )
+from tring.ring import RT0Element
 
 
 def P(text: str) -> Polynomial:
@@ -184,3 +186,87 @@ def test_canonical_order():
     assert str(P("0")) == "0"
     assert str(P("-t1 - 1/2")) == "-1/2 - t1"
     assert str(P("t2 - 3*t1")) == "-3*t1 + t2"
+
+
+# -- the coefficient rule -----------------------------------------------------
+
+# ints and Fractions, integral ones such as Fraction(3) among them, over a
+# few denominators, so that sums cancel and products such as 2/3 * 3/2
+# turn out integral
+rule_coeffs = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from([Fraction(3), Fraction(2, 3), Fraction(3, 2), Fraction(-1, 6)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+# valid family monomials (contiguous t1..tn) and two that skip t1; few of
+# them, so that terms collide
+VALID_MONOS = [(), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)), ((1, 2),), ((1, 1), (2, 1))]
+MONOS = VALID_MONOS + [((2, 1),), ((0, 1), (2, 2))]
+
+
+def rule_polynomials(monos=MONOS):
+    return st.dictionaries(st.sampled_from(monos), rule_coeffs, max_size=5).map(Polynomial)
+
+
+def assert_rule(p: Polynomial) -> None:
+    for c in p.terms.values():
+        assert c
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = {m: Fraction(c) for m, c in a.items()}
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + Fraction(c1) * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_polynomials(), rule_polynomials(), rule_coeffs, st.integers(0, 3))
+@example(
+    Polynomial({((1, 1),): Fraction(2, 3), (): Fraction(1, 2)}),
+    Polynomial({((1, 1),): Fraction(3, 2), (): Fraction(-1, 2)}),
+    Fraction(3, 2),
+    2,
+)
+def test_every_operation_keeps_the_coefficient_rule(p, q, c, exp):
+    results = [
+        p + q,
+        p - q,
+        p - p,
+        p * q,
+        p**exp,
+        p.scale(c),
+        p.rename({2: 1}),
+        pushforward(IncreasingMap((2, 3), 3), p),
+        pullback(IncreasingMap((2,), 2), p),
+        pullback(IncreasingMap((1, 2), 2), p),
+        p.substitute_t0(q),
+        p.set_var_zero(1),
+        parse_polynomial(format_polynomial(p)),
+    ]
+    for r in [p, q] + results:
+        assert_rule(r)
+    assert (p + q).terms == ref_add(p.terms, q.terms)
+    assert (p * q).terms == ref_mul(p.terms, q.terms)
+    assert p.scale(c).terms == ref_mul(p.terms, {(): c})
+    assert p.coefficient(((3, 5),)) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(rule_polynomials(VALID_MONOS))
+def test_family_elements_keep_the_polynomial_terms(p):
+    back = RT0Element.from_polynomial(p).to_polynomial().terms
+    assert {m: (c, type(c)) for m, c in back.items()} == {
+        m: (c, type(c)) for m, c in p.terms.items()
+    }

@@ -40,6 +40,9 @@ def test_space_validation():
     with pytest.raises(PairingError):
         # odd/odd block must be antisymmetric
         SuperSpace(["o1", "o2"], [1, 1], [[0, 1], [1, 0]])
+    for ragged in ([[1], [0, 1]], [[1, 0], []]):
+        with pytest.raises(PairingError, match="not square"):
+            SuperSpace(["a", "b"], [0, 0], ragged)
     mixed_space(3)  # constructs cleanly
 
 
@@ -199,7 +202,7 @@ def test_axioms_small_even():
 def _with_fraction_kernel(space: SuperSpace) -> SuperSpace:
     """The same space with the raw kernels reading Fraction entries."""
     out = copy.copy(space)
-    out._kernel_pairing = space.pairing
+    out.pairing = tuple(tuple(Fraction(e) for e in row) for row in space.pairing)
     return out
 
 
@@ -240,8 +243,8 @@ def test_integer_kernels_match_fraction_checkers():
 
 def test_kernels_keep_fraction_entries():
     space = SuperSpace(["e1", "e2"], [0, 0], [[Fraction(1, 2), 0], [0, 2]])
-    assert space._kernel_pairing[0][0] == Fraction(1, 2)
-    assert type(space._kernel_pairing[1][1]) is int
+    assert space.pairing[0][0] == Fraction(1, 2)
+    assert type(space.pairing[1][1]) is int
     assert _pair_raw(space, (0, 1), (0, 1)) == 1
     ok, checked, counterexample = vowa_exhaustive(space, max_arity=2)
     assert ok, counterexample
@@ -256,7 +259,7 @@ MIXED3 = mixed_space(3)
 
 def _compose_by_parity_sums(space, v, w, j):
     """The composition kernel with its sign summed from the parities."""
-    factor = space._kernel_pairing[v[j]][w[0]]
+    factor = space.pairing[v[j]][w[0]]
     if not factor:
         return None
     parity = space.parity.__getitem__

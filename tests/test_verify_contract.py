@@ -43,7 +43,7 @@ def test_broken_odot_fails_odot_suite(capsys, monkeypatch):
 
 def test_unsigned_compose_fails_super_suite(capsys, monkeypatch):
     def unsigned(space, v, w, j):
-        factor = space._kernel_pairing[v[j]][w[0]]
+        factor = space.pairing[v[j]][w[0]]
         return (factor, v[:j] + w[1:] + v[j + 1 :]) if factor else None
 
     monkeypatch.setattr(superops, "_compose_raw", unsigned)
