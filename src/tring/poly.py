@@ -129,22 +129,19 @@ def positive_support(a: Mono) -> frozenset[int]:
 def mono_str(a: Mono) -> str:
     if not a:
         return "1"
-    parts = []
-    for var, exp in a:
-        parts.append(f"t{var}" if exp == 1 else f"t{var}^{exp}")
-    return "*".join(parts)
+    return "*".join([f"t{var}" if exp == 1 else f"t{var}^{exp}" for var, exp in a])
 
 
-def _mono_sort_key(a: Mono) -> tuple:
+def _mono_sort_key(a: Mono) -> tuple[int, list[tuple[int, int]]]:
     # graded order: total degree first, then lexicographically largest
-    # exponent vector (t0 weighs heaviest) prints first within a degree
-    if not a:
-        return (0, ())
-    width = a[-1][0] + 1
-    vec = [0] * width
+    # exponent vector (t0 weighs heaviest) prints first within a degree;
+    # the (var, -exp) pairs order the vectors of one degree that way
+    degree = 0
+    pairs = []
     for var, exp in a:
-        vec[var] = exp
-    return (mono_degree(a), tuple(-e for e in vec))
+        degree += exp
+        pairs.append((var, -exp))
+    return degree, pairs
 
 
 class Polynomial:
@@ -219,9 +216,6 @@ class Polynomial:
 
     def items(self) -> Iterator[tuple[Mono, Coeff]]:
         return iter(self.terms.items())
-
-    def sorted_terms(self) -> list[tuple[Mono, Coeff]]:
-        return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -528,35 +522,51 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
+        # one dict per sum; each term's pairs are added straight into it
+        acc: dict[Mono, Coeff] = {}
         kind, value, _ = self.peek()
         negate = False
         if kind == "op" and value in "+-":
             self.next()
             negate = value == "-"
-        p = self.term()
-        if negate:
-            p = -p
         while True:
+            for mono, c in self.term():
+                add_term(acc, mono, -c if negate else c)
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                q = self.term()
-                p = p - q if value == "-" else p + q
-            else:
-                return p
+            if kind != "op" or value not in "+-":
+                return _raw(acc)
+            self.next()
+            negate = value == "-"
 
-    def term(self) -> Polynomial:
-        p = self.factor()
+    def term(self) -> Iterable[tuple[Mono, Coeff]]:
+        """The (monomial, coefficient) pairs of a product.  Its atoms fold
+        into one pair; from the first group on, each factor is multiplied
+        in by _bounded_product, left to right."""
+        exps: dict[int, int] = {}
+        c: Coeff = 1
+        where = None
+        f = self.factor()
+        while not isinstance(f, Polynomial):
+            mono, fc = f
+            for var, k in mono:
+                exps[var] = exps.get(var, 0) + k
+            c *= fc
+            kind, value, where = self.peek()
+            if kind != "op" or value != "*":
+                return ((tuple(sorted(exps.items())), c),)
+            self.next()
+            f = self.factor()
+        if where is not None:
+            f = _bounded_product(_polynomial((tuple(sorted(exps.items())), c)), f, where)
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                _, _, where = self.next()
-                p = _bounded_product(p, self.factor(), where)
-            else:
-                return p
+            kind, value, where = self.peek()
+            if kind != "op" or value != "*":
+                return f.terms.items()
+            self.next()
+            f = _bounded_product(f, _polynomial(self.factor()), where)
 
-    def factor(self) -> Polynomial:
-        p = self.atom()
+    def factor(self) -> tuple[Mono, Coeff] | Polynomial:
+        a = self.atom()
         kind, value, where = self.peek()
         if kind == "op" and value == "^":
             self.next()
@@ -566,22 +576,29 @@ class _Parser:
             digits = value.lstrip("0")
             if len(digits) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
                 raise ParseError(f"exponent above the bound of {MAX_EXPONENT}", where)
-            p = _power(p, int(value), lambda a, b: _bounded_product(a, b, where))
-        return p
+            k = int(value)
+            if isinstance(a, Polynomial):
+                return _power(a, k, lambda x, y: _bounded_product(x, y, where))
+            mono, c = a
+            return (tuple((var, exp * k) for var, exp in mono) if k else MONO_ONE), c**k
+        return a
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> tuple[Mono, Coeff] | Polynomial:
+        """A literal, a variable or a minus before one as a (monomial,
+        coefficient) pair; a group, or a minus before one, as a Polynomial."""
         kind, value, where = self.next()
         if kind == "op" and value in ("(", "-"):
             if self.depth == MAX_NESTING:
                 raise ParseError("expression nested too deeply", where)
             self.depth += 1
             if value == "(":
-                p = self.expr()
+                a = self.expr()
                 self.expect_op(")")
             else:
-                p = -self.atom()
+                a = self.atom()
+                a = -a if isinstance(a, Polynomial) else (a[0], -a[1])
             self.depth -= 1
-            return p
+            return a
         if kind == "int":
             numerator = int(value)
             kind, value, _ = self.peek()
@@ -590,13 +607,21 @@ class _Parser:
                 kind, value, where = self.next()
                 if kind != "int" or int(value) == 0:
                     raise ParseError("denominator must be a nonzero integer", where)
-                return Polynomial.const(Fraction(numerator, int(value)))
-            return Polynomial.const(numerator)
+                return MONO_ONE, Fraction(numerator, int(value))
+            return MONO_ONE, numerator
         if kind == "name":
             if not _VARIABLE.fullmatch(value):
                 raise ParseError(f"unknown variable {value!r}", where)
-            return Polynomial.variable(int(value[1:]))
+            return ((int(value[1:]), 1),), 1
         raise ParseError(f"unexpected {value!r}", where)
+
+
+def _polynomial(f: tuple[Mono, Coeff] | Polynomial) -> Polynomial:
+    """A parsed factor as a Polynomial, with no term if its coefficient is 0."""
+    if isinstance(f, Polynomial):
+        return f
+    mono, c = f
+    return _raw({mono: c} if c else {})
 
 
 def _bounded_product(p: Polynomial, q: Polynomial, where: int) -> Polynomial:
@@ -619,17 +644,18 @@ def format_polynomial(p: Polynomial) -> str:
     if not p.terms:
         return "0"
     pieces: list[str] = []
-    for index, (mono, coeff) in enumerate(p.sorted_terms()):
-        sign = "-" if coeff < 0 else "+"
-        magnitude = abs(coeff)
+    for mono in sorted(p.terms, key=_mono_sort_key):
+        coeff = str(p.terms[mono])
+        if coeff[0] == "-":
+            pieces.append(" - ")
+            coeff = coeff[1:]
+        else:
+            pieces.append(" + ")
         if not mono:
-            body = str(magnitude)
-        elif magnitude == 1:
-            body = mono_str(mono)
+            pieces.append(coeff)
+        elif coeff == "1":
+            pieces.append(mono_str(mono))
         else:
-            body = f"{magnitude}*{mono_str(mono)}"
-        if index == 0:
-            pieces.append(body if sign == "+" else f"-{body}")
-        else:
-            pieces.append(f" {sign} {body}")
+            pieces.append(f"{coeff}*{mono_str(mono)}")
+    pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)

@@ -285,11 +285,11 @@ def es_permute(space: SuperSpace, perm: BasisTuple, v: SuperTensor) -> SuperTens
     return SuperTensor(v.slots, out)
 
 
-def pair(space: SuperSpace, v: SuperTensor, alpha: SuperTensor) -> Fraction:
+def pair(space: SuperSpace, v: SuperTensor, alpha: SuperTensor) -> Coeff:
     """Slotwise pairing with the reordering sign."""
     if v.slots != alpha.slots:
         raise ValueError("widths differ")
-    total = Fraction(0)
+    total: Coeff = 0
     for vt, cv in v.coeffs.items():
         for at, ca in alpha.coeffs.items():
             total += cv * ca * _pair_raw(space, vt, at)
@@ -360,7 +360,7 @@ def vowa_check(
     parity = space.parity
     lhs = pair(space, es_compose(space, v, w, j), SuperTensor.basis(alpha))
 
-    rhs = Fraction(0)
+    rhs: Coeff = 0
     left_parities = [parity[alpha[i]] for i in range(j)]
     mid_parities = [parity[alpha[i]] for i in range(j, j + n)]
     cross = (sum(mid_parities) & 1) and (sum(left_parities) & 1)
@@ -375,7 +375,7 @@ def vowa_check(
             + p_dual * sum(mid_parities)
             + (1 if cross else 0)
         )
-        term = Fraction(0)
+        term: Coeff = 0
         for k, ck in enumerate(duals.primal[nu]):
             if not ck:
                 continue

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tring.poly import (
     DomainError,
@@ -17,6 +17,7 @@ from tring.poly import (
     pushforward,
 )
 from tring.ring import RT0Element
+from tring.rt0 import monomials_of_degree
 
 
 def P(text: str) -> Polynomial:
@@ -186,6 +187,202 @@ def test_canonical_order():
     assert str(P("0")) == "0"
     assert str(P("-t1 - 1/2")) == "-1/2 - t1"
     assert str(P("t2 - 3*t1")) == "-3*t1 + t2"
+
+
+# a sum of 4097 variables: one term above MAX_PRODUCT_PAIRS against a monomial
+WIDE = "(" + "+".join(f"t{i}" for i in range(1, 4098)) + ")"
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("3/0*t1", "denominator must be a nonzero integer", 2),
+        ("t1^", "exponent must be a non-negative integer", 3),
+        ("t1^4097", "exponent above the bound of 4096", 3),
+        ("2*t01", "unknown variable 't01'", 2),
+        ("t1 t2", "unexpected 't2'", 3),
+        ("2**t1", "unexpected '*'", 2),
+        ("t1*", "unexpected ''", 3),
+        (
+            "2*t1*(t0+t1+t2+t3)^6*(t0+t1+t2+t3)^6",
+            "product of 84 and 84 terms is above the bound of 4096 term pairs",
+            20,
+        ),
+        # the left factor is the monomial its atoms fold into
+        ("2*t1*" + WIDE, "product of 1 and 4097 terms is above the bound of 4096 term pairs", 4),
+        ("-2*t1^2*" + WIDE, "product of 1 and 4097 terms is above the bound of 4096 term pairs", 7),
+        (WIDE + "*t1", "product of 4097 and 1 terms is above the bound of 4096 term pairs", 23476),
+    ],
+    ids=[
+        "zero-denominator",
+        "missing-exponent",
+        "exponent-bound",
+        "non-canonical-variable",
+        "missing-operator",
+        "double-star",
+        "trailing-star",
+        "product-bound",
+        "product-bound-folded-left",
+        "product-bound-negated-folded-left",
+        "product-bound-atom-right",
+    ],
+)
+def test_parse_error_messages(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+def test_zero_factors_pair_no_terms():
+    # a zero coefficient leaves a product with no term to pair
+    for text in ("0*t1*" + WIDE, WIDE + "*0", "(t1-t1)*" + WIDE):
+        assert parse_polynomial(text) == Polynomial.zero()
+
+
+# -- the parser against the Polynomial operations -------------------------------
+
+
+@st.composite
+def literals(draw):
+    numerator = draw(st.integers(0, 9))
+    denominator = draw(st.integers(1, 4))
+    text = f"{numerator}/{denominator}" if draw(st.booleans()) else str(numerator)
+    value = Fraction(numerator, denominator) if "/" in text else Fraction(numerator)
+    return ("literal", text, value)
+
+
+leaves = st.one_of(literals(), st.integers(0, 3).map(lambda i: ("var", i)))
+
+
+def _trees(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*"]), children, children),
+        st.tuples(st.just("^"), children, st.integers(0, 3)),
+        st.tuples(st.sampled_from(["neg", "sign", "group"]), children),
+    )
+
+
+expression_trees = st.recursive(leaves, _trees, max_leaves=10)
+
+
+LEVELS = ("expr", "term", "factor", "atom")
+LEVEL = {"+": "expr", "-": "expr", "sign": "expr", "*": "term", "^": "factor"}
+
+
+def render(tree, ctx: str = "expr", lead: bool = True) -> str:
+    """Text for tree where the grammar expects ctx, a sum ("expr"), a
+    "term", a "factor" or an "atom", parenthesised where ctx asks for
+    more than the tree's own level.  lead says that the text starts a
+    sum, where a minus is read as the sign of the sum's first term."""
+    kind = tree[0]
+    if LEVELS.index(LEVEL.get(kind, "atom")) < LEVELS.index(ctx):
+        return "(" + render(tree) + ")"
+    if kind == "neg" and lead:
+        return "(" + render(tree, lead=False) + ")"
+    if kind == "literal":
+        return tree[1]
+    if kind == "var":
+        return f"t{tree[1]}"
+    if kind == "group":
+        return "(" + render(tree[1]) + ")"
+    if kind in ("+", "-"):
+        return render(tree[1], "expr", lead) + f" {kind} " + render(tree[2], "term", False)
+    if kind == "*":
+        return render(tree[1], "term", lead) + "*" + render(tree[2], "factor", False)
+    if kind == "^":
+        return render(tree[1], "atom", lead) + f"^{tree[2]}"
+    if kind == "sign":
+        # negates the whole first term: -t1^2 is -(t1^2)
+        return "-" + render(tree[1], "term", False)
+    # a minus inside a term negates one atom: 2*-t1^2 is 2*(-t1)^2
+    return "-" + render(tree[1], "atom", False)
+
+
+def evaluate(tree, sizes: list[int]) -> Polynomial:
+    """tree built by the Polynomial operations; sizes collects the term
+    counts of every value and every square of a power."""
+    kind = tree[0]
+    if kind == "literal":
+        out = Polynomial.const(tree[2])
+    elif kind == "var":
+        out = Polynomial.variable(tree[1])
+    elif kind == "group":
+        out = evaluate(tree[1], sizes)
+    elif kind in ("neg", "sign"):
+        out = -evaluate(tree[1], sizes)
+    elif kind == "^":
+        base = evaluate(tree[1], sizes)
+        sizes.append(len((base * base).terms))
+        out = base ** tree[2]
+    else:
+        left, right = evaluate(tree[1], sizes), evaluate(tree[2], sizes)
+        out = {"+": left + right, "-": left - right, "*": left * right}[kind]
+    sizes.append(len(out.terms))
+    return out
+
+
+def _typed(p: Polynomial) -> dict:
+    return {m: (c, type(c)) for m, c in p.terms.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_trees)
+@example(("^", ("neg", ("var", 1)), 2))
+@example(("sign", ("^", ("var", 1), 2)))
+@example(("*", ("literal", "0/3", Fraction(0)), ("group", ("+", ("var", 1), ("var", 2)))))
+def test_parser_matches_the_polynomial_operations(tree):
+    sizes: list[int] = []
+    expected = evaluate(tree, sizes)
+    # every product then pairs at most 40 * 40 terms, within MAX_PRODUCT_PAIRS
+    assume(max(sizes) <= 40)
+    text = render(tree)
+    assert _typed(parse_polynomial(text)) == _typed(expected), text
+
+
+def reference_text(x: RT0Element) -> str:
+    """The canonical text, sorted by degree and then by the negated dense
+    exponent vector, written out term by term."""
+
+    def key(mono):
+        vector = [0] * (mono[-1][0] + 1 if mono else 0)
+        for var, exp in mono:
+            vector[var] = exp
+        return sum(vector), [-e for e in vector]
+
+    terms = x.to_polynomial().terms
+    out = ""
+    for mono in sorted(terms, key=key):
+        c = terms[mono]
+        factors = "*".join(f"t{v}" if e == 1 else f"t{v}^{e}" for v, e in mono)
+        if not mono:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = factors
+        else:
+            body = f"{abs(c)}*{factors}"
+        if not out:
+            out = "-" + body if c < 0 else body
+        else:
+            out += (" - " if c < 0 else " + ") + body
+    return out or "0"
+
+
+@st.composite
+def dense_elements(draw):
+    # every monomial of a few degrees, so that each degree is full and
+    # the order inside it is exercised
+    terms = {}
+    for degree in draw(st.sets(st.integers(0, 5), max_size=3)):
+        for mono in monomials_of_degree(degree):
+            terms[mono] = draw(rule_coeffs)
+    return RT0Element.from_polynomial(Polynomial(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_elements())
+def test_printer_matches_a_reference_order(x):
+    assert str(x) == reference_text(x)
 
 
 # -- the coefficient rule -----------------------------------------------------

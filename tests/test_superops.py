@@ -130,6 +130,12 @@ def test_pair_values():
     assert pair(space, T(e, o1), T(e, o2)) == 1
     zero = SuperTensor(2)
     assert pair(space, T(e, e), zero) == 0
+    # an integral value is an int, as the coefficient rule asks
+    o1, o2 = 0, 1
+    value = pair(mixed_space(2), T(o1, o2), T(o2, o1))
+    assert (value, type(value)) == (1, int)
+    half = SuperTensor(2, {(o1, o2): Fraction(1, 2)})
+    assert pair(mixed_space(2), half, T(o2, o1)) == Fraction(1, 2)
 
 
 def test_pair_permutation_invariance_even():

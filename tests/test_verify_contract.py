@@ -174,6 +174,9 @@ def test_failing_check_keeps_later_draws(monkeypatch):
         (["operad-axioms", "--max-arity", "0"], "max-arity must be >= 1, got 0"),
         (["super", "--dim", "7"], "dim must be in 1..6, got 7"),
         (["vowa", "--dim", "0"], "dim must be in 1..6, got 0"),
+        # a 2^30-row word-basis matrix, refused before it is built
+        (["structure", "--max-degree", "30"], "max-degree must be <= 10, got 30"),
+        (["operad-axioms", "--max-arity", "5"], "max-arity must be <= 4, got 5"),
     ],
 )
 def test_invalid_bounds_exit_2_before_any_suite_runs(capsys, monkeypatch, argv, message):
@@ -191,5 +194,6 @@ def test_invalid_bounds_exit_2_before_any_suite_runs(capsys, monkeypatch, argv, 
 
 def test_lowest_and_benchmark_bounds_stay_valid():
     verify.Bounds(max_degree=0, max_n=0, max_arity=1, dim=1, seed=0)
+    verify.Bounds(max_degree=verify.MAX_DEGREE, max_arity=verify.MAX_ARITY, dim=6)
     verify.Bounds(max_degree=2, dim=6)
     verify.Bounds(max_degree=1)
