@@ -1,5 +1,8 @@
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -12,6 +15,7 @@ from tring.poly import (
     enumerate_increasing_maps,
     format_polynomial,
     mono_mul,
+    mono_str,
     parse_polynomial,
     pullback,
     pushforward,
@@ -193,40 +197,42 @@ def test_canonical_order():
 WIDE = "(" + "+".join(f"t{i}" for i in range(1, 4098)) + ")"
 
 
-@pytest.mark.parametrize(
-    "text, message, position",
-    [
-        ("3/0*t1", "denominator must be a nonzero integer", 2),
-        ("t1^", "exponent must be a non-negative integer", 3),
-        ("t1^4097", "exponent above the bound of 4096", 3),
-        ("2*t01", "unknown variable 't01'", 2),
-        ("t1 t2", "unexpected 't2'", 3),
-        ("2**t1", "unexpected '*'", 2),
-        ("t1*", "unexpected ''", 3),
-        (
-            "2*t1*(t0+t1+t2+t3)^6*(t0+t1+t2+t3)^6",
-            "product of 84 and 84 terms is above the bound of 4096 term pairs",
-            20,
-        ),
-        # the left factor is the monomial its atoms fold into
-        ("2*t1*" + WIDE, "product of 1 and 4097 terms is above the bound of 4096 term pairs", 4),
-        ("-2*t1^2*" + WIDE, "product of 1 and 4097 terms is above the bound of 4096 term pairs", 7),
-        (WIDE + "*t1", "product of 4097 and 1 terms is above the bound of 4096 term pairs", 23476),
-    ],
-    ids=[
-        "zero-denominator",
-        "missing-exponent",
-        "exponent-bound",
-        "non-canonical-variable",
-        "missing-operator",
-        "double-star",
-        "trailing-star",
-        "product-bound",
-        "product-bound-folded-left",
-        "product-bound-negated-folded-left",
-        "product-bound-atom-right",
-    ],
-)
+# the exact message and position of each refusal; the parse corpus holds
+# these texts too
+PINNED_ERRORS = [
+    ("3/0*t1", "denominator must be a nonzero integer", 2),
+    ("t1^", "exponent must be a non-negative integer", 3),
+    ("t1^4097", "exponent above the bound of 4096", 3),
+    ("2*t01", "unknown variable 't01'", 2),
+    ("t1 t2", "unexpected 't2'", 3),
+    ("2**t1", "unexpected '*'", 2),
+    ("t1*", "unexpected ''", 3),
+    (
+        "2*t1*(t0+t1+t2+t3)^6*(t0+t1+t2+t3)^6",
+        "product of 84 and 84 terms is above the bound of 4096 term pairs",
+        20,
+    ),
+    # the left factor is the monomial its atoms fold into
+    ("2*t1*" + WIDE, "product of 1 and 4097 terms is above the bound of 4096 term pairs", 4),
+    ("-2*t1^2*" + WIDE, "product of 1 and 4097 terms is above the bound of 4096 term pairs", 7),
+    (WIDE + "*t1", "product of 4097 and 1 terms is above the bound of 4096 term pairs", 23476),
+]
+PINNED_IDS = [
+    "zero-denominator",
+    "missing-exponent",
+    "exponent-bound",
+    "non-canonical-variable",
+    "missing-operator",
+    "double-star",
+    "trailing-star",
+    "product-bound",
+    "product-bound-folded-left",
+    "product-bound-negated-folded-left",
+    "product-bound-atom-right",
+]
+
+
+@pytest.mark.parametrize("text, message, position", PINNED_ERRORS, ids=PINNED_IDS)
 def test_parse_error_messages(text, message, position):
     with pytest.raises(ParseError) as info:
         parse_polynomial(text)
@@ -238,6 +244,86 @@ def test_zero_factors_pair_no_terms():
     # a zero coefficient leaves a product with no term to pair
     for text in ("0*t1*" + WIDE, WIDE + "*0", "(t1-t1)*" + WIDE):
         assert parse_polynomial(text) == Polynomial.zero()
+
+
+# -- the parse corpus ----------------------------------------------------------
+
+CORPUS = Path(__file__).resolve().parent / "golden" / "parse_corpus.json"
+CORPUS_COEFFICIENTS = ("1", "2", "3", "7", "1/2", "1/3", "2/3", "5/3", "7/2", "4/2", "0/5")
+# one-character edits of the operands: every token class, a space, a tab,
+# an em space, and characters that are alphanumeric but no ASCII digit
+EDIT_CHARACTERS = "09/*^()+-tx_\u00b2\u0663 \t\u2003"
+
+
+def corpus_operand(rng: random.Random, degree: int) -> str:
+    """Expression text in the shape of a benchmark operand: every monomial
+    of the degree with a random coefficient (1 left out) and sign, and from
+    degree 2 on one c*(t0+t1)^2*mono term at a random place."""
+    terms = []
+    for mono in monomials_of_degree(degree):
+        c = rng.choice(CORPUS_COEFFICIENTS)
+        terms.append(mono_str(mono) if c == "1" else f"{c}*{mono_str(mono)}")
+    if degree >= 2:
+        inner = mono_str(rng.choice(monomials_of_degree(degree - 2)))
+        group = f"{rng.choice(CORPUS_COEFFICIENTS)}*(t0+t1)^2*{inner}"
+        terms.insert(rng.randrange(len(terms) + 1), group)
+    text = rng.choice(("", "-")) + terms[0]
+    for term in terms[1:]:
+        text += rng.choice((" + ", " - ")) + term
+    return text
+
+
+def corpus_edits(rng: random.Random, text: str) -> list[str]:
+    """Two seeded deletions, two insertions and two substitutions of one
+    character each."""
+    out = []
+    for _ in range(2):
+        i = rng.randrange(len(text))
+        out.append(text[:i] + text[i + 1 :])
+        i = rng.randrange(len(text) + 1)
+        out.append(text[:i] + rng.choice(EDIT_CHARACTERS) + text[i:])
+        i = rng.randrange(len(text))
+        out.append(text[:i] + rng.choice(EDIT_CHARACTERS) + text[i + 1 :])
+    return out
+
+
+def corpus_texts() -> list[str]:
+    texts = [text for text, _, _ in PINNED_ERRORS]
+    rng = random.Random(20081)
+    for _ in range(300):
+        operand = corpus_operand(rng, rng.randint(0, 4))
+        texts.append(operand)
+        texts.extend(corpus_edits(rng, operand))
+    return list(dict.fromkeys(texts))
+
+
+def parse_outcome(text: str) -> list[str]:
+    """["ok", printed text] or ["error", the ParseError text]."""
+    try:
+        return ["ok", str(parse_polynomial(text))]
+    except ParseError as err:
+        return ["error", str(err)]
+
+
+def record_parse_corpus() -> None:
+    """Write the corpus, one [text, kind, value] entry a line."""
+    lines = [json.dumps([text, *parse_outcome(text)]) for text in corpus_texts()]
+    CORPUS.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+
+
+def test_parse_corpus_is_reproduced():
+    """Every text of the corpus parses to its recorded printed result, or
+    fails with its recorded message and position, byte for byte.
+
+    The corpus was recorded from the parser the single-pattern term reader
+    replaced, before it changed, with
+
+        PYTHONPATH=src:tests python -c "import test_poly; test_poly.record_parse_corpus()"
+    """
+    entries = json.loads(CORPUS.read_text())
+    assert [text for text, _, _ in entries] == corpus_texts()
+    for text, kind, value in entries:
+        assert parse_outcome(text) == [kind, value], text
 
 
 # -- the parser against the Polynomial operations -------------------------------
