@@ -4,10 +4,10 @@ Expression commands print one canonical line to stdout; the verify
 command prints a verdict report (text or JSON).  Exit codes: 0 on
 success, 1 when a verification suite found a failing identity, 2 for
 usage, parse, or validation errors (a dot, odot or iota result above
-degree MAX_RESULT_DEGREE included), and 3 for an internal error (a
-word basis matrix is singular, or a basis expansion does not
-re-evaluate to its input, which means a bug), reported as one
-``internal error:`` line on stderr.
+degree MAX_RESULT_DEGREE included), and 3 for an internal error, which
+means a bug: a word basis matrix is singular, a basis expansion does
+not re-evaluate to its input, or any other exception escapes a command.
+An internal error is reported as one ``internal error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -236,6 +236,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ConsistencyError as err:
         print(f"internal error: {err}", file=sys.stderr)
+        return 3
+    except Exception as err:
+        # a crash is not a failed check (exit 1): name it on one line
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
 
 

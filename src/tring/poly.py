@@ -78,11 +78,14 @@ def add_term(acc: dict[K, Coeff], key: K, c: Coeff) -> None:
     saves."""
     if not c:
         return
-    s = acc.get(key, 0) + c
-    if s:
-        acc[key] = s.numerator if s.denominator == 1 else s
-    elif key in acc:
-        del acc[key]
+    s = acc.get(key)
+    if s is not None:
+        # a new key costs no addition, which for a Fraction is a gcd
+        c += s
+        if not c:
+            del acc[key]
+            return
+    acc[key] = c.numerator if c.denominator == 1 else c
 
 
 class DomainError(ValueError):
@@ -443,40 +446,29 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_CHARS = set("+-*^/()")
+# One token, read where the text asks for one: its blanks (\s is exactly
+# str.isspace), then an operator, a number of ASCII digits (str.isdigit
+# also admits '²' and '٣'), a name (\w is exactly str.isalnum or "_"; the
+# first character must be a letter, which _Parser.scan checks with
+# str.isalpha), any other character, which is unexpected, or the end.
+_TOKEN = re.compile(r"\s*(?:([-+*^/()])|([0-9]+)|(\w+)|(.))?", re.S)
+_KINDS = (None, "op", "int", "name")
+
 # variable names are canonical: t0, t1, ..., never t01 or t007
 _VARIABLE = re.compile(r"t(0|[1-9][0-9]*)")
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if "0" <= ch <= "9":  # str.isdigit also admits '²' and '٣'
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(text)))
-    return tokens
+# A simple term: an optional integer or p/q coefficient, then t<i> factors,
+# each with an optional exponent of at most four digits, joined by "*";
+# the term ends at "+", "-", ")" or the end of the text.  A match leaves
+# out no check: the denominator and the exponent bound are checked on the
+# match (_simple_term), and every other term is read by the descent.
+_POWER = r"t(?:0|[1-9][0-9]*)(?!\w)(?:\s*\^\s*[0-9]{1,4})?"
+_POWERS = rf"{_POWER}(?:\s*\*\s*{_POWER})*"
+_SIMPLE_TERM = re.compile(
+    rf"\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*({_POWERS}))?|({_POWERS}))"
+    r"\s*(?=[-+)]|\Z)"
+)
+_FACTOR = re.compile(r"t([0-9]+)(?:\s*\^\s*([0-9]+))?")
 
 
 # parentheses and unary minus nest at most this deep; each level costs a
@@ -495,18 +487,68 @@ MAX_PRODUCT_PAIRS = 4096
 MAX_EXPONENT = 4096
 
 
+def _simple_term(m: re.Match) -> tuple[Mono, Coeff] | None:
+    """The (monomial, coefficient) pair of a simple term, or None where its
+    denominator is 0 or an exponent is above MAX_EXPONENT: the descent
+    then reads the term again and reports the error.  Numbers are
+    converted in the order the descent converts them."""
+    numerator, denominator, powers, bare = m.groups()
+    c: Coeff = 1
+    if numerator is not None:
+        c = int(numerator)
+        if denominator is not None:
+            d = int(denominator)
+            if not d:
+                return None
+            c = Fraction(c, d)
+    exps: dict[int, int] = {}
+    for var, k in _FACTOR.findall(powers or bare or ""):
+        var = int(var)
+        k = int(k) if k else 1
+        if k > MAX_EXPONENT:
+            return None
+        if k:
+            exps[var] = exps.get(var, 0) + k
+    return tuple(sorted(exps.items())), c
+
+
 class _Parser:
+    """Reads the text by position.  At each term of a sum, _SIMPLE_TERM
+    reads a simple term in one match; every other term is read by the
+    recursive descent, which scans its tokens one at a time, each as the
+    lookahead ``tok`` (kind, value, position) ending at ``end``."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
         self.depth = 0
+        self.scan(0)
+
+    def scan(self, pos: int) -> None:
+        """Make the token at pos the lookahead."""
+        m = _TOKEN.match(self.text, pos)
+        group = m.lastindex
+        if group is None:
+            self.tok = ("end", "", m.end())
+        else:
+            where = m.start(group)
+            if group == 4 or (group == 3 and not self.text[where].isalpha()):
+                raise ParseError(f"unexpected character {self.text[where]!r}", where)
+            self.tok = (_KINDS[group], m.group(group), where)
+        self.end = m.end()
+
+    def scan_rest(self) -> None:
+        """Scan the tokens after the lookahead, raising at an unexpected
+        character: one anywhere in the text outranks an error that the
+        parse met before it."""
+        while self.tok[0] != "end":
+            self.next()
 
     def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+        return self.tok
 
     def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.tok
+        self.scan(self.end)
         return tok
 
     def expect_op(self, op: str) -> None:
@@ -524,18 +566,32 @@ class _Parser:
     def expr(self) -> Polynomial:
         # one dict per sum; each term's pairs are added straight into it
         acc: dict[Mono, Coeff] = {}
-        kind, value, _ = self.peek()
+        text = self.text
+        kind, value, pos = self.peek()
         negate = False
         if kind == "op" and value in "+-":
-            self.next()
+            pos = self.end
             negate = value == "-"
         while True:
+            m = _SIMPLE_TERM.match(text, pos)
+            pair = m and _simple_term(m)
+            if pair:
+                add_term(acc, pair[0], -pair[1] if negate else pair[1])
+                pos = m.end()
+                sign = text[pos : pos + 1]
+                if sign == "+" or sign == "-":
+                    pos += 1
+                    negate = sign == "-"
+                    continue
+                self.scan(pos)
+                return _raw(acc)
+            self.scan(pos)
             for mono, c in self.term():
                 add_term(acc, mono, -c if negate else c)
             kind, value, _ = self.peek()
             if kind != "op" or value not in "+-":
                 return _raw(acc)
-            self.next()
+            pos = self.end
             negate = value == "-"
 
     def term(self) -> Iterable[tuple[Mono, Coeff]]:
@@ -636,7 +692,13 @@ def _bounded_product(p: Polynomial, q: Polynomial, where: int) -> Polynomial:
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse an expression in t0, t1, ... with +, -, *, ^ and p/q literals."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except ValueError as err:
+        error = err
+    parser.scan_rest()
+    raise error
 
 
 def format_polynomial(p: Polynomial) -> str:

@@ -4,7 +4,7 @@ import time
 import jsonschema
 import pytest
 
-from tring import cli, rt0
+from tring import cli, ring, rt0
 from tring.poly import MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_PAIRS
 from tring.verify import REPORT_SCHEMA, Bounds, CheckResult, SuiteReport
 
@@ -374,3 +374,28 @@ def test_basis_reevaluation_failure_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "basis", "t1")
     assert (code, out) == (3, "")
     assert err == "internal error: expansion does not re-evaluate to the input\n"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [KeyError("x"), RecursionError("maximum recursion depth exceeded")],
+    ids=["KeyError", "RecursionError"],
+)
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (rt0, "odot", ["verify", "identity"]),
+        (ring, "multiply_components", ["dot", "t1", "t0+t1"]),
+    ],
+    ids=["verify-identity", "dot"],
+)
+def test_a_crash_is_an_internal_error(capsys, monkeypatch, module, name, argv, error):
+    # exit 1 means that a check failed; a crash must not look like one
+    def crash(*args):
+        raise error
+
+    monkeypatch.setattr(module, name, crash)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"internal error: {type(error).__name__}: {error}\n"
+    assert err.count("\n") == 1

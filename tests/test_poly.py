@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -216,6 +217,18 @@ PINNED_ERRORS = [
     ("2*t1*" + WIDE, "product of 1 and 4097 terms is above the bound of 4096 term pairs", 4),
     ("-2*t1^2*" + WIDE, "product of 1 and 4097 terms is above the bound of 4096 term pairs", 7),
     (WIDE + "*t1", "product of 4097 and 1 terms is above the bound of 4096 term pairs", 23476),
+    # an unexpected character anywhere outranks every other error
+    ("t1 + + $", "unexpected character '$'", 7),
+    ("t1^ + \u00b2", "unexpected character '\u00b2'", 6),
+    ("(t1 + t2 _", "unexpected character '_'", 9),
+    ("3/0*t1 + t2 \u0663", "unexpected character '\u0663'", 12),
+    ("2*t1*(t0+t1+t2+t3)^6*(t0+t1+t2+t3)^6 + _x", "unexpected character '_'", 39),
+    # ... but a name goes on with any alphanumeric character or "_"
+    (
+        "2*t1*(t0+t1+t2+t3)^6*(t0+t1+t2+t3)^6 + x_\u00b2",
+        "product of 84 and 84 terms is above the bound of 4096 term pairs",
+        20,
+    ),
 ]
 PINNED_IDS = [
     "zero-denominator",
@@ -229,6 +242,12 @@ PINNED_IDS = [
     "product-bound-folded-left",
     "product-bound-negated-folded-left",
     "product-bound-atom-right",
+    "character-after-operator",
+    "character-after-exponent",
+    "character-in-group",
+    "character-after-denominator",
+    "character-after-product-bound",
+    "name-after-product-bound",
 ]
 
 
@@ -356,33 +375,38 @@ LEVELS = ("expr", "term", "factor", "atom")
 LEVEL = {"+": "expr", "-": "expr", "sign": "expr", "*": "term", "^": "factor"}
 
 
-def render(tree, ctx: str = "expr", lead: bool = True) -> str:
+def render(tree, gap: Callable[[], str], ctx: str = "expr", lead: bool = True) -> str:
     """Text for tree where the grammar expects ctx, a sum ("expr"), a
     "term", a "factor" or an "atom", parenthesised where ctx asks for
     more than the tree's own level.  lead says that the text starts a
-    sum, where a minus is read as the sign of the sum's first term."""
+    sum, where a minus is read as the sign of the sum's first term.
+    gap() gives the blanks put between two tokens."""
     kind = tree[0]
+
+    def joined(first: str, *rest: str) -> str:
+        return first + "".join(gap() + piece for piece in rest)
+
     if LEVELS.index(LEVEL.get(kind, "atom")) < LEVELS.index(ctx):
-        return "(" + render(tree) + ")"
+        return joined("(", render(tree, gap), ")")
     if kind == "neg" and lead:
-        return "(" + render(tree, lead=False) + ")"
+        return joined("(", render(tree, gap, lead=False), ")")
     if kind == "literal":
-        return tree[1]
+        return joined(*tree[1].partition("/")) if "/" in tree[1] else tree[1]
     if kind == "var":
         return f"t{tree[1]}"
     if kind == "group":
-        return "(" + render(tree[1]) + ")"
+        return joined("(", render(tree[1], gap), ")")
     if kind in ("+", "-"):
-        return render(tree[1], "expr", lead) + f" {kind} " + render(tree[2], "term", False)
+        return joined(render(tree[1], gap, "expr", lead), kind, render(tree[2], gap, "term", False))
     if kind == "*":
-        return render(tree[1], "term", lead) + "*" + render(tree[2], "factor", False)
+        return joined(render(tree[1], gap, "term", lead), "*", render(tree[2], gap, "factor", False))
     if kind == "^":
-        return render(tree[1], "atom", lead) + f"^{tree[2]}"
+        return joined(render(tree[1], gap, "atom", lead), "^", str(tree[2]))
     if kind == "sign":
         # negates the whole first term: -t1^2 is -(t1^2)
-        return "-" + render(tree[1], "term", False)
+        return joined("-", render(tree[1], gap, "term", False))
     # a minus inside a term negates one atom: 2*-t1^2 is 2*(-t1)^2
-    return "-" + render(tree[1], "atom", False)
+    return joined("-", render(tree[1], gap, "atom", False))
 
 
 def evaluate(tree, sizes: list[int]) -> Polynomial:
@@ -412,17 +436,29 @@ def _typed(p: Polynomial) -> dict:
     return {m: (c, type(c)) for m, c in p.terms.items()}
 
 
+# the blanks between tokens: a space, a tab and an em space, which
+# str.isspace admits
+BLANKS = (" ", "\t", "\u2003")
+
+
 @settings(max_examples=300, deadline=None)
-@given(expression_trees)
-@example(("^", ("neg", ("var", 1)), 2))
-@example(("sign", ("^", ("var", 1), 2)))
-@example(("*", ("literal", "0/3", Fraction(0)), ("group", ("+", ("var", 1), ("var", 2)))))
-def test_parser_matches_the_polynomial_operations(tree):
+@given(expression_trees, st.randoms(use_true_random=False))
+@example(("^", ("neg", ("var", 1)), 2), random.Random(0))
+@example(("sign", ("^", ("var", 1), 2)), random.Random(0))
+@example(
+    ("*", ("literal", "0/3", Fraction(0)), ("group", ("+", ("var", 1), ("var", 2)))),
+    random.Random(0),
+)
+def test_parser_matches_the_polynomial_operations(tree, rng):
     sizes: list[int] = []
     expected = evaluate(tree, sizes)
     # every product then pairs at most 40 * 40 terms, within MAX_PRODUCT_PAIRS
     assume(max(sizes) <= 40)
-    text = render(tree)
+
+    def gap() -> str:
+        return "".join(rng.choice(BLANKS) for _ in range(rng.choice((0, 0, 1, 3))))
+
+    text = gap() + render(tree, gap) + gap()
     assert _typed(parse_polynomial(text)) == _typed(expected), text
 
 

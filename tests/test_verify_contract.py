@@ -177,6 +177,8 @@ def test_failing_check_keeps_later_draws(monkeypatch):
         # a 2^30-row word-basis matrix, refused before it is built
         (["structure", "--max-degree", "30"], "max-degree must be <= 10, got 30"),
         (["operad-axioms", "--max-arity", "5"], "max-arity must be <= 4, got 5"),
+        # identity at --max-n 16 took 8 s and 247 MB
+        (["identity", "--max-n", "16"], "max-n must be <= 12, got 16"),
     ],
 )
 def test_invalid_bounds_exit_2_before_any_suite_runs(capsys, monkeypatch, argv, message):
@@ -194,6 +196,8 @@ def test_invalid_bounds_exit_2_before_any_suite_runs(capsys, monkeypatch, argv, 
 
 def test_lowest_and_benchmark_bounds_stay_valid():
     verify.Bounds(max_degree=0, max_n=0, max_arity=1, dim=1, seed=0)
-    verify.Bounds(max_degree=verify.MAX_DEGREE, max_arity=verify.MAX_ARITY, dim=6)
+    verify.Bounds(
+        max_degree=verify.MAX_DEGREE, max_n=verify.MAX_N, max_arity=verify.MAX_ARITY, dim=6
+    )
     verify.Bounds(max_degree=2, dim=6)
     verify.Bounds(max_degree=1)
