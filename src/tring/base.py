@@ -34,6 +34,18 @@ class DegreeMismatchError(ValueError):
     """An element fails a homogeneity requirement."""
 
 
+def _apply_table(
+    table: Mapping[tuple[str, str], AlgebraElement], x: AlgebraElement, y: AlgebraElement
+) -> AlgebraElement:
+    """The bilinear map with structure constants table, applied to x and y."""
+    out: AlgebraElement = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for name, c in table.get((a, b), {}).items():
+                add_term(out, name, ca * cb * c)
+    return out
+
+
 class GradedAlgebra:
     """Commutative associative unital graded algebra given by structure
     constants on a named basis.  All laws are verified at construction."""
@@ -115,12 +127,7 @@ class GradedAlgebra:
     # -- arithmetic -----------------------------------------------------
 
     def mul(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        out: AlgebraElement = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                for name, c in self.table.get((a, b), {}).items():
-                    add_term(out, name, ca * cb * c)
-        return out
+        return _apply_table(self.table, x, y)
 
     def unit_element(self) -> AlgebraElement:
         return {self.unit: 1}
@@ -198,12 +205,7 @@ class BaseOperadConfig:
             self._clutch[key] = table
         if table is None:
             raise ConfigError(f"no clutching map for m={m}, n={n}, j={j}")
-        out: AlgebraElement = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                for name, c in table.get((a, b), {}).items():
-                    add_term(out, name, ca * cb * c)
-        return out
+        return _apply_table(table, x, y)
 
     # -- construction ------------------------------------------------------
 
@@ -343,6 +345,23 @@ def _parse_combo(text: str, line_no: int) -> AlgebraElement:
     return out
 
 
+# the directives of a section that carry a combination after '=': the
+# number of words before the '=' and the shape an error message quotes
+_COMBO_DIRECTIVES = {
+    "mul": (3, "mul <a> <b> = <combo>"),
+    "phi": (2, "phi <j> = <combo>"),
+    "perm": (3, "perm <p0,p1,...> <basis> = <combo>"),
+}
+
+
+def _int_field(text: str, field: str, line_no: int) -> int:
+    """An integer field of a config line."""
+    try:
+        return int(text)
+    except ValueError as err:
+        raise ConfigError(f"line {line_no}: bad {field} {text!r}") from err
+
+
 def load_config(path: str | Path) -> BaseOperadConfig:
     """Load a base config from a line-oriented text file.
 
@@ -366,11 +385,11 @@ def load_config(path: str | Path) -> BaseOperadConfig:
             inner = line[1:-1].split()
             if len(inner) != 2 or not inner[1].startswith("n="):
                 raise ConfigError(f"line {line_no}: bad section header {line!r}")
-            arity = int(inner[1][2:])
+            arity = _int_field(inner[1][2:], "arity", line_no)
             if arity < 2:
                 raise ConfigError(f"line {line_no}: arity must be >= 2")
             current = sections.setdefault(
-                arity, {"basis": [], "mul": {}, "phi": {}, "perm": []}
+                arity, {"basis": [], "mul": {}, "phi": {}, "perm": {}}
             )
             continue
         if line.startswith("clutch "):
@@ -379,45 +398,40 @@ def load_config(path: str | Path) -> BaseOperadConfig:
         if current is None:
             raise ConfigError(f"line {line_no}: directive outside a section")
         words = line.split()
-        if words[0] == "basis":
+        directive = words[0]
+        if directive == "basis":
             if len(words) != 4 or words[2] != "deg":
                 raise ConfigError(f"line {line_no}: expected 'basis <name> deg <d>'")
-            current["basis"].append((words[1], int(words[3])))
-        elif words[0] == "mul":
-            head, _, combo = line.partition("=")
-            parts = head.split()
-            if len(parts) != 3 or not combo:
-                raise ConfigError(f"line {line_no}: expected 'mul <a> <b> = <combo>'")
+            current["basis"].append((words[1], _int_field(words[3], "degree", line_no)))
+            continue
+        if directive not in _COMBO_DIRECTIVES:
+            raise ConfigError(f"line {line_no}: unknown directive {directive!r}")
+        size, shape = _COMBO_DIRECTIVES[directive]
+        head, _, combo = line.partition("=")
+        parts = head.split()
+        if len(parts) != size or not combo:
+            raise ConfigError(f"line {line_no}: expected '{shape}'")
+        if directive == "mul":
             current["mul"][(parts[1], parts[2])] = _parse_combo(combo, line_no)
-        elif words[0] == "phi":
-            head, _, combo = line.partition("=")
-            parts = head.split()
-            if len(parts) != 2 or not combo:
-                raise ConfigError(f"line {line_no}: expected 'phi <j> = <combo>'")
-            current["phi"][int(parts[1])] = _parse_combo(combo, line_no)
-        elif words[0] == "perm":
-            head, _, combo = line.partition("=")
-            parts = head.split()
-            if len(parts) != 3 or not combo:
-                raise ConfigError(
-                    f"line {line_no}: expected 'perm <p0,p1,...> <basis> = <combo>'"
-                )
-            perm = tuple(int(v) for v in parts[1].split(","))
-            current["perm"].append((perm, parts[2], _parse_combo(combo, line_no)))
+        elif directive == "phi":
+            current["phi"][_int_field(parts[1], "phi slot", line_no)] = _parse_combo(
+                combo, line_no
+            )
         else:
-            raise ConfigError(f"line {line_no}: unknown directive {words[0]!r}")
+            perm = tuple(
+                _int_field(v, "permutation entry", line_no) for v in parts[1].split(",")
+            )
+            current["perm"].setdefault(perm, {})[parts[2]] = _parse_combo(combo, line_no)
 
     for arity, section in sorted(sections.items()):
         algebra = GradedAlgebra(
             section["basis"], section["mul"], label=f"arity-{arity}"
         )
         config.add_algebra(arity, algebra, section["phi"])
-        perm_images: dict[Perm, dict[str, AlgebraElement]] = {}
-        for perm, name, image in section["perm"]:
-            perm_images.setdefault(perm, {})[name] = image
-        for perm, images in perm_images.items():
+        for perm, images in section["perm"].items():
             config.add_action(arity, perm, images)
 
+    clutch: dict[tuple[int, int, int], dict[tuple[str, str], AlgebraElement]] = {}
     for line_no, line in clutch_lines:
         # the parameters carry their own '=' signs, so split at the last one
         head, _, combo = line.rpartition("=")
@@ -427,16 +441,12 @@ def load_config(path: str | Path) -> BaseOperadConfig:
                 f"line {line_no}: expected 'clutch m=.. n=.. j=.. <a> <b> = <combo>'"
             )
         try:
-            m = int(parts[1].split("=")[1])
-            n = int(parts[2].split("=")[1])
-            j = int(parts[3].split("=")[1])
+            key = tuple(int(part.split("=")[1]) for part in parts[1:4])
         except (IndexError, ValueError) as err:
             raise ConfigError(f"line {line_no}: bad clutch parameters") from err
-        key = (m, n, j)
-        table = config._clutch.setdefault(key, {})
-        table[(parts[4], parts[5])] = _parse_combo(combo, line_no)
+        clutch.setdefault(key, {})[(parts[4], parts[5])] = _parse_combo(combo, line_no)
 
-    for (m, n, j), table in list(config._clutch.items()):
+    for (m, n, j), table in clutch.items():
         config.add_clutch(m, n, j, table)
     return config
 

@@ -86,18 +86,11 @@ def _factors(*texts: str, raise_by: int = 0) -> list[RT0Element]:
     return factors
 
 
-def _structure_word_text(word: tuple[int, ...]) -> str:
-    def factor(a: int) -> str:
-        return "1" if a == 0 else ("t0" if a == 1 else f"t0^{a}")
-
-    return " (*) ".join(factor(a) for a in word)
-
-
-def _involution_word_text(word: tuple[int, ...]) -> str:
-    def factor(a: int) -> str:
-        return "1" if a == 0 else ("(t0+t1)" if a == 1 else f"(t0+t1)^{a}")
-
-    return " (*) ".join(factor(a) for a in word)
+def _word_text(word: tuple[int, ...], factor: str) -> str:
+    """A word of the basis of powers of factor, joined by (*)."""
+    return " (*) ".join(
+        "1" if a == 0 else (factor if a == 1 else f"{factor}^{a}") for a in word
+    )
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -124,11 +117,11 @@ def cmd_basis(args: argparse.Namespace) -> int:
     x = _element(args.expression)
     if args.which == "structure":
         expansion = odot_basis_expand(x)
-        render = _structure_word_text
+        factor = "t0"
         evaluate = evaluate_structure_word
     else:
         expansion = odot_basis_expand_iota(x)
-        render = _involution_word_text
+        factor = "(t0+t1)"
         evaluate = evaluate_involution_word
     rebuilt = RT0Element.zero()
     for word, coeff in expansion.items():
@@ -140,7 +133,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
         print("0")
         return 0
     ordered = sorted(expansion.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    print(" + ".join(f"{c} * ({render(w)})" for w, c in ordered))
+    print(" + ".join(f"{c} * ({_word_text(w, factor)})" for w, c in ordered))
     return 0
 
 

@@ -390,8 +390,7 @@ def important_b_check(
     e_shift = tuple(ei + (1 if i == j else 0) for i, ei in enumerate(e))
     rhs = product(d_shift, e_shift)
     d_rest = tuple(0 if i == j else di for i, di in enumerate(d))
-    e_rest = tuple(e[i] if i != j else e[j] for i in range(n + 1))
-    rest = product(d_rest, e_rest)
+    rest = product(d_rest, e)
     argument = MTildeElement.from_rt0(_psi1_power(d[j] - 1))
     rhs = rhs + compose(rest, argument, j, base)
     return lhs == rhs

@@ -514,9 +514,11 @@ def _simple_term(m: re.Match) -> tuple[Mono, Coeff] | None:
 
 class _Parser:
     """Reads the text by position.  At each term of a sum, _SIMPLE_TERM
-    reads a simple term in one match; every other term is read by the
-    recursive descent, which scans its tokens one at a time, each as the
-    lookahead ``tok`` (kind, value, position) ending at ``end``."""
+    reads a simple term in one match, the one fast path; every other term
+    is read by the recursive descent, which scans its tokens one at a
+    time, each as the lookahead ``tok`` (kind, value, position) ending at
+    ``end``.  The descent builds a Polynomial per factor and multiplies
+    the factors of a term left to right through _bounded_product."""
 
     def __init__(self, text: str):
         self.text = text
@@ -543,31 +545,23 @@ class _Parser:
         while self.tok[0] != "end":
             self.next()
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tok
-
     def next(self) -> tuple[str, str, int]:
         tok = self.tok
         self.scan(self.end)
         return tok
 
-    def expect_op(self, op: str) -> None:
-        kind, value, where = self.next()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", where)
-
     def parse(self) -> Polynomial:
         p = self.expr()
-        kind, value, where = self.peek()
+        kind, value, where = self.tok
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", where)
         return p
 
     def expr(self) -> Polynomial:
-        # one dict per sum; each term's pairs are added straight into it
+        # one dict per sum; each term is added straight into it
         acc: dict[Mono, Coeff] = {}
         text = self.text
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tok
         negate = False
         if kind == "op" and value in "+-":
             pos = self.end
@@ -586,44 +580,26 @@ class _Parser:
                 self.scan(pos)
                 return _raw(acc)
             self.scan(pos)
-            for mono, c in self.term():
+            for mono, c in self.term().terms.items():
                 add_term(acc, mono, -c if negate else c)
-            kind, value, _ = self.peek()
+            kind, value, _ = self.tok
             if kind != "op" or value not in "+-":
                 return _raw(acc)
             pos = self.end
             negate = value == "-"
 
-    def term(self) -> Iterable[tuple[Mono, Coeff]]:
-        """The (monomial, coefficient) pairs of a product.  Its atoms fold
-        into one pair; from the first group on, each factor is multiplied
-        in by _bounded_product, left to right."""
-        exps: dict[int, int] = {}
-        c: Coeff = 1
-        where = None
-        f = self.factor()
-        while not isinstance(f, Polynomial):
-            mono, fc = f
-            for var, k in mono:
-                exps[var] = exps.get(var, 0) + k
-            c *= fc
-            kind, value, where = self.peek()
-            if kind != "op" or value != "*":
-                return ((tuple(sorted(exps.items())), c),)
-            self.next()
-            f = self.factor()
-        if where is not None:
-            f = _bounded_product(_polynomial((tuple(sorted(exps.items())), c)), f, where)
+    def term(self) -> Polynomial:
+        p = self.factor()
         while True:
-            kind, value, where = self.peek()
+            kind, value, where = self.tok
             if kind != "op" or value != "*":
-                return f.terms.items()
+                return p
             self.next()
-            f = _bounded_product(f, _polynomial(self.factor()), where)
+            p = _bounded_product(p, self.factor(), where)
 
-    def factor(self) -> tuple[Mono, Coeff] | Polynomial:
-        a = self.atom()
-        kind, value, where = self.peek()
+    def factor(self) -> Polynomial:
+        p = self.atom()
+        kind, value, where = self.tok
         if kind == "op" and value == "^":
             self.next()
             kind, value, where = self.next()
@@ -632,52 +608,39 @@ class _Parser:
             digits = value.lstrip("0")
             if len(digits) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
                 raise ParseError(f"exponent above the bound of {MAX_EXPONENT}", where)
-            k = int(value)
-            if isinstance(a, Polynomial):
-                return _power(a, k, lambda x, y: _bounded_product(x, y, where))
-            mono, c = a
-            return (tuple((var, exp * k) for var, exp in mono) if k else MONO_ONE), c**k
-        return a
+            p = _power(p, int(value), lambda a, b: _bounded_product(a, b, where))
+        return p
 
-    def atom(self) -> tuple[Mono, Coeff] | Polynomial:
-        """A literal, a variable or a minus before one as a (monomial,
-        coefficient) pair; a group, or a minus before one, as a Polynomial."""
+    def atom(self) -> Polynomial:
         kind, value, where = self.next()
         if kind == "op" and value in ("(", "-"):
             if self.depth == MAX_NESTING:
                 raise ParseError("expression nested too deeply", where)
             self.depth += 1
             if value == "(":
-                a = self.expr()
-                self.expect_op(")")
+                p = self.expr()
+                kind, value, where = self.next()
+                if kind != "op" or value != ")":
+                    raise ParseError("expected ')'", where)
             else:
-                a = self.atom()
-                a = -a if isinstance(a, Polynomial) else (a[0], -a[1])
+                p = -self.atom()
             self.depth -= 1
-            return a
+            return p
         if kind == "int":
-            numerator = int(value)
-            kind, value, _ = self.peek()
+            c: Coeff = int(value)
+            kind, value, _ = self.tok
             if kind == "op" and value == "/":
                 self.next()
                 kind, value, where = self.next()
                 if kind != "int" or int(value) == 0:
                     raise ParseError("denominator must be a nonzero integer", where)
-                return MONO_ONE, Fraction(numerator, int(value))
-            return MONO_ONE, numerator
+                c = Fraction(c, int(value))
+            return Polynomial.const(c)
         if kind == "name":
             if not _VARIABLE.fullmatch(value):
                 raise ParseError(f"unknown variable {value!r}", where)
-            return ((int(value[1:]), 1),), 1
+            return Polynomial.variable(int(value[1:]))
         raise ParseError(f"unexpected {value!r}", where)
-
-
-def _polynomial(f: tuple[Mono, Coeff] | Polynomial) -> Polynomial:
-    """A parsed factor as a Polynomial, with no term if its coefficient is 0."""
-    if isinstance(f, Polynomial):
-        return f
-    mono, c = f
-    return _raw({mono: c} if c else {})
 
 
 def _bounded_product(p: Polynomial, q: Polynomial, where: int) -> Polynomial:

@@ -210,6 +210,27 @@ def test_load_config_rejects_bad_input(tmp_path):
         load_config(bad)
 
 
+SECTION_HEAD = "[algebra n=2]\nbasis one deg 0\nmul one one = one\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[algebra n=2]\nbasis one deg x\n", "line 2: bad degree 'x'"),
+        ("[algebra n=two]\n", "line 1: bad arity 'two'"),
+        (SECTION_HEAD + "phi x = one\n", "line 4: bad phi slot 'x'"),
+        (SECTION_HEAD + "perm 0,a,1 one = one\n", "line 4: bad permutation entry 'a'"),
+    ],
+    ids=["degree", "arity", "phi-slot", "permutation-entry"],
+)
+def test_load_config_names_the_line_of_a_bad_integer(tmp_path, text, message):
+    bad = tmp_path / "bad.base"
+    bad.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(bad)
+    assert str(info.value) == message
+
+
 def test_resolve_base(tmp_path):
     assert resolve_base(None).name == "trivial"
     assert resolve_base("rank2").name == "rank2"

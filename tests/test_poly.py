@@ -213,7 +213,7 @@ PINNED_ERRORS = [
         "product of 84 and 84 terms is above the bound of 4096 term pairs",
         20,
     ),
-    # the left factor is the monomial its atoms fold into
+    # the left factor is the monomial that the atoms before the group make
     ("2*t1*" + WIDE, "product of 1 and 4097 terms is above the bound of 4096 term pairs", 4),
     ("-2*t1^2*" + WIDE, "product of 1 and 4097 terms is above the bound of 4096 term pairs", 7),
     (WIDE + "*t1", "product of 4097 and 1 terms is above the bound of 4096 term pairs", 23476),
@@ -250,13 +250,56 @@ PINNED_IDS = [
     "name-after-product-bound",
 ]
 
+# refusals that only the recursive descent meets; the corpus is built from
+# PINNED_ERRORS, so these stay out of it
+DESCENT_ERRORS = [
+    ("(t1+t2)*3/0", "denominator must be a nonzero integer", 10),
+    # an atom between the groups: each product is checked at its own "*"
+    (
+        "(t0+t1+t2+t3)^6*t1*(t0+t1+t2+t3)^6",
+        "product of 84 and 84 terms is above the bound of 4096 term pairs",
+        18,
+    ),
+]
+DESCENT_ERROR_IDS = ["descent-zero-denominator", "product-bound-atom-between"]
 
-@pytest.mark.parametrize("text, message, position", PINNED_ERRORS, ids=PINNED_IDS)
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    PINNED_ERRORS + DESCENT_ERRORS,
+    ids=PINNED_IDS + DESCENT_ERROR_IDS,
+)
 def test_parse_error_messages(text, message, position):
     with pytest.raises(ParseError) as info:
         parse_polynomial(text)
     assert str(info.value) == f"{message} (at position {position})"
     assert info.value.position == position
+
+
+# terms that no simple-term match reads, with the printed result and the
+# type of each coefficient in term order, as the parser gave them when its
+# descent folded atoms into (monomial, coefficient) pairs
+DESCENT_TERMS = [
+    ("2^3*(t1+t2)*t1", "8*t1^2 + 8*t1*t2", [int, int]),
+    ("(4/2)*t1^2", "2*t1^2", [int]),
+    ("-(t1)^2*t2", "-t1^2*t2", [int]),
+    ("t1*(t0+t1)*t2^3*2/3", "2/3*t0*t1*t2^3 + 2/3*t1^2*t2^3", [Fraction, Fraction]),
+    ("0^0*(t1+t2)", "t1 + t2", [int, int]),
+    ("2*-(t1+t2)^2", "2*t1^2 + 4*t1*t2 + 2*t2^2", [int, int, int]),
+    ("t1*0*(t0+t1)^3", "0", []),
+    ("(1/2)^3*t1", "1/8*t1", [Fraction]),
+    ("-2^2*t1", "-4*t1", [int]),
+    ("t1*2", "2*t1", [int]),
+    ("2*3*t1", "6*t1", [int]),
+    ("t1^00001", "t1", [int]),
+]
+
+
+@pytest.mark.parametrize("text, printed, types", DESCENT_TERMS)
+def test_descent_terms(text, printed, types):
+    p = parse_polynomial(text)
+    assert str(p) == printed
+    assert [type(c) for c in p.terms.values()] == types
 
 
 def test_zero_factors_pair_no_terms():
