@@ -17,6 +17,7 @@ the built-in bases stay in int arithmetic.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -54,9 +55,7 @@ class GradedAlgebra:
         self,
         basis: Iterable[tuple[str, int]],
         products: Mapping[tuple[str, str], AlgebraElement],
-        label: str = "",
     ):
-        self.label = label
         self.degrees: dict[str, int] = {}
         order: list[str] = []
         for name, degree in basis:
@@ -69,7 +68,7 @@ class GradedAlgebra:
         self.basis = tuple(order)
         self.table: dict[tuple[str, str], AlgebraElement] = {}
         for (a, b), value in products.items():
-            self._check_names((a, b), value)
+            self.check_names((a, b, *value))
             value = nonzero_terms({k: Fraction(v) for k, v in value.items()})
             mirror = self.table.get((b, a))
             if mirror is not None and mirror != value:
@@ -82,8 +81,9 @@ class GradedAlgebra:
         self.unit = self._find_unit()
         self._validate()
 
-    def _check_names(self, pair: tuple[str, str], value: AlgebraElement) -> None:
-        for name in (*pair, *value):
+    def check_names(self, names: Iterable[str]) -> None:
+        """Refuse the first name that is not a basis element."""
+        for name in names:
             if name not in self.degrees:
                 raise ConfigError(f"unknown basis name {name!r}")
 
@@ -216,6 +216,7 @@ class BaseOperadConfig:
         phi: Mapping[int, AlgebraElement],
     ) -> None:
         for slot, value in phi.items():
+            algebra.check_names(value)
             if not algebra.is_homogeneous(value, 1):
                 raise ConfigError(
                     f"phi class for slot {slot} at arity {n} is not "
@@ -229,8 +230,7 @@ class BaseOperadConfig:
         if sorted(perm) != list(range(n + 1)):
             raise ConfigError(f"{perm} is not a permutation of 0..{n}")
         for name, image in images.items():
-            if name not in algebra.degrees:
-                raise ConfigError(f"unknown basis name {name!r}")
+            algebra.check_names((name, *image))
             want = algebra.degrees[name]
             if not algebra.is_homogeneous(image, want):
                 raise ConfigError(
@@ -266,9 +266,7 @@ def trivial_base() -> BaseOperadConfig:
     """Rationals at every arity, zero phi classes, scalar clutching."""
 
     def factory(n: int) -> tuple[GradedAlgebra, list[AlgebraElement]]:
-        algebra = GradedAlgebra(
-            [("one", 0)], {("one", "one"): {"one": 1}}, label=f"Q(n={n})"
-        )
+        algebra = GradedAlgebra([("one", 0)], {("one", "one"): {"one": 1}})
         return algebra, [{} for _ in range(n + 1)]
 
     def clutch_factory(m: int, n: int, j: int):
@@ -288,7 +286,6 @@ def rank2_base() -> BaseOperadConfig:
                 ("one", "h"): {"h": 1},
                 ("h", "h"): {},
             },
-            label=f"Q[h]/h^2(n={n})",
         )
         return algebra, [{"h": 1} for _ in range(n + 1)]
 
@@ -354,12 +351,15 @@ _COMBO_DIRECTIVES = {
 }
 
 
+# an optional minus and ASCII digits, as the expression parser reads them
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _int_field(text: str, field: str, line_no: int) -> int:
     """An integer field of a config line."""
-    try:
-        return int(text)
-    except ValueError as err:
-        raise ConfigError(f"line {line_no}: bad {field} {text!r}") from err
+    if not _INTEGER.fullmatch(text):
+        raise ConfigError(f"line {line_no}: bad {field} {text!r}")
+    return int(text)
 
 
 def load_config(path: str | Path) -> BaseOperadConfig:
@@ -424,10 +424,9 @@ def load_config(path: str | Path) -> BaseOperadConfig:
             current["perm"].setdefault(perm, {})[parts[2]] = _parse_combo(combo, line_no)
 
     for arity, section in sorted(sections.items()):
-        algebra = GradedAlgebra(
-            section["basis"], section["mul"], label=f"arity-{arity}"
+        config.add_algebra(
+            arity, GradedAlgebra(section["basis"], section["mul"]), section["phi"]
         )
-        config.add_algebra(arity, algebra, section["phi"])
         for perm, images in section["perm"].items():
             config.add_action(arity, perm, images)
 
@@ -440,10 +439,10 @@ def load_config(path: str | Path) -> BaseOperadConfig:
             raise ConfigError(
                 f"line {line_no}: expected 'clutch m=.. n=.. j=.. <a> <b> = <combo>'"
             )
-        try:
-            key = tuple(int(part.split("=")[1]) for part in parts[1:4])
-        except (IndexError, ValueError) as err:
-            raise ConfigError(f"line {line_no}: bad clutch parameters") from err
+        key = tuple(
+            _int_field(part.split("=", 1)[-1], f"clutch {name}", line_no)
+            for name, part in zip("mnj", parts[1:4])
+        )
         clutch.setdefault(key, {})[(parts[4], parts[5])] = _parse_combo(combo, line_no)
 
     for (m, n, j), table in clutch.items():

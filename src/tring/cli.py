@@ -22,6 +22,7 @@ from .rt0 import (
     ConsistencyError,
     RT0Element,
     dot_mul,
+    evaluate_expansion,
     evaluate_involution_word,
     evaluate_structure_word,
     iota,
@@ -123,10 +124,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
         expansion = odot_basis_expand_iota(x)
         factor = "(t0+t1)"
         evaluate = evaluate_involution_word
-    rebuilt = RT0Element.zero()
-    for word, coeff in expansion.items():
-        rebuilt = rebuilt + evaluate(word).scale(coeff)
-    if rebuilt != x:
+    if evaluate_expansion(expansion, evaluate) != x:
         print("internal error: expansion does not re-evaluate to the input", file=sys.stderr)
         return 3
     if not expansion:

@@ -19,7 +19,9 @@ The family slots are all even, so no Koszul signs appear anywhere; the
 permutation action moves slots and lets the config act on the base
 class.
 
-Terms follow the coefficient rule of RT0Element, through
+Every element is one sparse term map: at arity one the ring's keyed
+terms (a, u), above it (base name, slot words).  Terms follow the
+coefficient rule of RT0Element, through
 ``poly.add_term``/``nonzero_terms``: no zero coefficient is kept, and a
 coefficient is an int when it is integral.  A slot holds the ring's word
 u of the key (0, u) (the empty word is the unit slot), so slot products
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .base import AlgebraElement, BaseOperadConfig, ConfigError
+from .base import AlgebraElement, BaseOperadConfig
 from .poly import Coeff, Mono, add_term, mono_str, nonzero_terms
 from .ring import (
     Word,
@@ -65,29 +67,25 @@ MTKey = tuple[str, tuple[Word, ...]]
 
 
 class MTildeElement:
-    """An element of the extended operad at a fixed arity.
+    """An element of the extended operad at a fixed arity, held as one
+    sparse term map.
 
-    Above arity one, ``terms`` maps (base name, slot monomials) to
-    coefficients; the slots are validated and stored as ring words."""
+    At arity one ``terms`` is the ring element's keyed terms (a, u); above
+    arity one it maps (base name, slot words) to coefficients, and the
+    constructor validates the slots and stores them as ring words."""
 
-    __slots__ = ("arity", "rt0", "terms", "_hash")
+    __slots__ = ("arity", "terms", "_hash")
 
     def __init__(
         self,
         arity: int,
         terms: Mapping[tuple[str, tuple[Mono, ...]], Coeff] | None = None,
-        rt0: RT0Element | None = None,
     ):
         if arity < 1:
             raise ValueError("arity must be >= 1")
+        if arity == 1 and terms:
+            raise ValueError("arity-1 elements carry a ring element")
         self.arity = arity
-        if arity == 1:
-            self.rt0 = rt0 if rt0 is not None else RT0Element.zero()
-            self.terms = None
-            if terms:
-                raise ValueError("arity-1 elements carry a ring element")
-            return
-        self.rt0 = None
         normalized: dict[MTKey, Coeff] = {}
         if terms:
             for (name, monos), coeff in terms.items():
@@ -104,11 +102,16 @@ class MTildeElement:
 
     @classmethod
     def from_rt0(cls, x: RT0Element) -> "MTildeElement":
-        return cls(1, rt0=x)
+        return cls._raw(1, x.terms)
+
+    @property
+    def rt0(self) -> RT0Element:
+        """The arity-one element as a ring element."""
+        return RT0Element._raw(self.terms)
 
     @classmethod
     def zero(cls, arity: int) -> "MTildeElement":
-        return cls(arity) if arity == 1 else cls(arity, {})
+        return cls(arity)
 
     @classmethod
     def unit_tensor(cls, arity: int, base: BaseOperadConfig) -> "MTildeElement":
@@ -118,15 +121,11 @@ class MTildeElement:
         return cls._raw(arity, {key: 1})
 
     def is_zero(self) -> bool:
-        if self.arity == 1:
-            return self.rt0.is_zero()
         return not self.terms
 
     def __add__(self, other: "MTildeElement") -> "MTildeElement":
         if self.arity != other.arity:
             raise ValueError("arities differ")
-        if self.arity == 1:
-            return MTildeElement.from_rt0(self.rt0 + other.rt0)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, 0) + coeff
@@ -137,44 +136,32 @@ class MTildeElement:
 
     def scale(self, c: Coeff) -> "MTildeElement":
         c = Fraction(c)
-        if self.arity == 1:
-            return MTildeElement.from_rt0(self.rt0.scale(c))
         return MTildeElement._raw(
             self.arity, nonzero_terms({k: v * c for k, v in self.terms.items()})
         )
 
     @classmethod
-    def _raw(cls, arity: int, terms: dict[MTKey, Coeff]) -> "MTildeElement":
+    def _raw(cls, arity: int, terms: dict) -> "MTildeElement":
         """Wrap terms under the rule of poly.nonzero_terms (no zeros,
         integral coefficients as int)."""
         elt = cls.__new__(cls)
         elt.arity = arity
-        elt.rt0 = None
         elt.terms = terms
         return elt
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MTildeElement):
-            if self.arity != other.arity:
-                return False
-            if self.arity == 1:
-                return self.rt0 == other.rt0
-            return self.terms == other.terms
+            return self.arity == other.arity and self.terms == other.terms
         return NotImplemented
 
     def __hash__(self) -> int:
         cached = getattr(self, "_hash", None)
         if cached is None:
-            if self.arity == 1:
-                cached = hash((1, self.rt0))
-            else:
-                cached = hash((self.arity, frozenset(self.terms.items())))
+            cached = hash((self.arity, frozenset(self.terms.items())))
             self._hash = cached
         return cached
 
     def __repr__(self) -> str:
-        if self.arity == 1:
-            return f"MTildeElement(1, {self.rt0!r})"
         return f"MTildeElement({self.arity}, {len(self.terms)} terms)"
 
 
@@ -343,10 +330,7 @@ def morphism_F(
     one the map is zero."""
     if n == 1:
         return MTildeElement.zero(1)
-    algebra = base.algebra(n)
-    for name in xi:
-        if name not in algebra.degrees:
-            raise ConfigError(f"unknown basis name {name!r}")
+    base.algebra(n).check_names(xi)
     ones = ((),) * (n + 1)
     return MTildeElement._raw(
         n, nonzero_terms({(name, ones): Fraction(c) for name, c in xi.items()})
@@ -434,7 +418,7 @@ def spanning_elements(
     every slot tuple of bounded total degree."""
     if arity == 1:
         return [
-            MTildeElement.from_rt0(RT0Element._raw({_split_mono(mono): 1}))
+            MTildeElement._raw(1, {_split_mono(mono): 1})
             for degree in range(max_degree + 1)
             for mono in monomials_of_degree(degree)
         ]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from . import base as base_algebra
 from .linalg import solve_exact
@@ -312,9 +312,7 @@ def _check_basis_degree(x: RT0Element) -> None:
         )
 
 
-def odot_basis_expand(
-    x: RT0Element, kind: str = "structure"
-) -> dict[tuple[int, ...], Coeff]:
+def odot_basis_expand(x: RT0Element) -> dict[tuple[int, ...], Coeff]:
     """Exact coefficients of x in the odot-word basis.
 
     Works degree by degree; the change-of-basis matrix in each degree is
@@ -322,12 +320,10 @@ def odot_basis_expand(
     only mean an internal defect.  Raises ValueError above degree
     MAX_BASIS_DEGREE.
     """
-    if kind not in _WORD_EVALUATORS:
-        raise ValueError(f"unknown basis kind {kind!r}")
     _check_basis_degree(x)
     out: dict[tuple[int, ...], Coeff] = {}
     for degree, part in x.homogeneous_parts().items():
-        matrix, words, monos = _basis_matrix(degree, kind)
+        matrix, words, monos = _basis_matrix(degree, "structure")
         rhs = [part.terms.get(_split_mono(m), 0) for m in monos]
         solution = solve_exact([list(row) for row in matrix], rhs)
         if solution is None:
@@ -346,11 +342,23 @@ def odot_basis_expand_iota(x: RT0Element) -> dict[tuple[int, ...], Coeff]:
     total t0 weight.  A sign keeps the coefficient rule of the expansion.
     """
     _check_basis_degree(x)  # before iota, whose cost grows as fast
-    inner = odot_basis_expand(iota(x), "structure")
+    inner = odot_basis_expand(iota(x))
     return {
         word[::-1]: -coeff if sum(word) % 2 else coeff
         for word, coeff in inner.items()
     }
+
+
+def evaluate_expansion(
+    expansion: Mapping[tuple[int, ...], Coeff],
+    evaluate: Callable[[tuple[int, ...]], RT0Element],
+) -> RT0Element:
+    """The element sum coeff * evaluate(word) of a word expansion."""
+    out: Terms = {}
+    for word, coeff in expansion.items():
+        for key, c in evaluate(word).terms.items():
+            add_term(out, key, coeff * c)
+    return RT0Element._raw(out)
 
 
 def leading_term_check(x: RT0Element) -> bool:

@@ -220,8 +220,24 @@ SECTION_HEAD = "[algebra n=2]\nbasis one deg 0\nmul one one = one\n"
         ("[algebra n=two]\n", "line 1: bad arity 'two'"),
         (SECTION_HEAD + "phi x = one\n", "line 4: bad phi slot 'x'"),
         (SECTION_HEAD + "perm 0,a,1 one = one\n", "line 4: bad permutation entry 'a'"),
+        # an integer field is an optional minus and ASCII digits, as in
+        # the expression parser: no other script's digits, no underscores
+        ("[algebra n=2]\nbasis one deg \u0663\n", "line 2: bad degree '\u0663'"),
+        ("[algebra n=1_0]\n", "line 1: bad arity '1_0'"),
+        (
+            SECTION_HEAD + "clutch m=2 n=2 j=\u0661 one one = one\n",
+            "line 4: bad clutch j '\u0661'",
+        ),
     ],
-    ids=["degree", "arity", "phi-slot", "permutation-entry"],
+    ids=[
+        "degree",
+        "arity",
+        "phi-slot",
+        "permutation-entry",
+        "degree-arabic-indic-digit",
+        "arity-underscore",
+        "clutch-arabic-indic-digit",
+    ],
 )
 def test_load_config_names_the_line_of_a_bad_integer(tmp_path, text, message):
     bad = tmp_path / "bad.base"

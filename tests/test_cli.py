@@ -255,6 +255,21 @@ def test_verify_with_config_file(capsys, tmp_path):
     assert "axiom4" in out
 
 
+@pytest.mark.parametrize(
+    "line", ["phi 0 = zz", "perm 0,2,1 h = zz"], ids=["phi", "perm"]
+)
+def test_config_with_an_unknown_basis_name_is_a_usage_error(capsys, tmp_path, line):
+    # a phi class or a permutation image that names no basis element is
+    # refused when the config loads, as a product that names one is
+    config = tmp_path / "unknown.base"
+    config.write_text(
+        "[algebra n=2]\nbasis one deg 0\nbasis h deg 1\n"
+        "mul one one = one\nmul one h = h\nmul h h = 0\n" + line + "\n"
+    )
+    code, out, err = run_cli(capsys, "verify", "operad-axioms", "--base", str(config))
+    assert (code, out, err) == (2, "", "error: unknown basis name 'zz'\n")
+
+
 def test_non_canonical_variable_names_rejected(capsys):
     for text in ("t01", "t007", "t1*t02"):
         code, out, err = run_cli(capsys, "eval", text)

@@ -197,6 +197,41 @@ def test_spanning_counts():
     assert len(spanning_elements(3, base, 2)) == 19
 
 
+def test_arity_one_terms_are_the_ring_terms():
+    # an arity-one element is the ring element's term map; its linear
+    # structure, equality and hashing agree with RT0Element's
+    def same(terms, expected):
+        # equal terms, in the same order and with the same coefficient types
+        assert list(terms.items()) == list(expected.items())
+        assert [type(c) for c in terms.values()] == [type(c) for c in expected.values()]
+
+    base = trivial_base()
+    spanning = spanning_elements(1, base, 2)
+    elements = spanning + [
+        spanning[1] + spanning[3],
+        MT1("t0 - 1/2*t1 + 3*t0*t1"),
+        MT1("t1^2 + t1*t2") - MT1("t1*t2"),
+    ]
+    for x in elements:
+        ring = RT0Element._raw(x.terms)
+        rebuilt = MTildeElement.from_rt0(RT0Element._raw(dict(x.terms)))
+        assert rebuilt == x and hash(rebuilt) == hash(x)
+        assert x.rt0 == ring and x.rt0.terms == x.terms
+        assert x.is_zero() == ring.is_zero()
+        assert (x - x).is_zero() and x - x == MTildeElement.zero(1)
+        for c in (2, Fraction(1, 2), 0):
+            same(x.scale(c).terms, ring.scale(c).terms)
+        for y in elements:
+            same((x + y).terms, (ring + y.rt0).terms)
+            same((x - y).terms, (ring - y.rt0).terms)
+            assert (x == y) == (ring == y.rt0)
+    assert MTildeElement.zero(1).terms == RT0Element.zero().terms
+    assert MTildeElement.zero(1).is_zero()
+    assert MTildeElement.from_rt0(E("t0")) != tensor(2, "one", "1", "1", "1")
+    with pytest.raises(ValueError, match="arity-1 elements carry a ring element"):
+        MTildeElement(1, {(0, ()): 1})
+
+
 def test_axioms_tiny():
     base = trivial_base()
     reports = operad_axiom_check(base, max_arity=2, max_degree=1)
@@ -251,7 +286,6 @@ def half_phi_base():
         algebra = GradedAlgebra(
             [("one", 0), ("h", 1)],
             {("one", "one"): {"one": 1}, ("one", "h"): {"h": 1}, ("h", "h"): {}},
-            label=f"Q[h]/h^2(n={n})",
         )
         return algebra, [{"h": Fraction(1, 2)} for _ in range(n + 1)]
 
@@ -270,8 +304,7 @@ BASES = {"trivial": trivial_base, "rank2": rank2_base, "half-phi": half_phi_base
 
 
 def assert_canonical(x):
-    terms = x.rt0.terms if x.arity == 1 else x.terms
-    for c in terms.values():
+    for c in x.terms.values():
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
 

@@ -421,7 +421,7 @@ def test_basis_roundtrip_degree_le_3():
                 ("iota-basis", evaluate_involution_word),
             ):
                 if kind == "structure":
-                    expansion = odot_basis_expand(x, kind)
+                    expansion = odot_basis_expand(x)
                 else:
                     expansion = odot_basis_expand_iota(x)
                 rebuilt = RT0Element.zero()
