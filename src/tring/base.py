@@ -439,11 +439,13 @@ def load_config(path: str | Path) -> BaseOperadConfig:
             raise ConfigError(
                 f"line {line_no}: expected 'clutch m=.. n=.. j=.. <a> <b> = <combo>'"
             )
-        key = tuple(
-            _int_field(part.split("=", 1)[-1], f"clutch {name}", line_no)
-            for name, part in zip("mnj", parts[1:4])
-        )
-        clutch.setdefault(key, {})[(parts[4], parts[5])] = _parse_combo(combo, line_no)
+        key = []
+        for name, part in zip("mnj", parts[1:4]):
+            label, _, value = part.partition("=")
+            if label != name:
+                raise ConfigError(f"line {line_no}: expected '{name}=..', got {part!r}")
+            key.append(_int_field(value, f"clutch {name}", line_no))
+        clutch.setdefault(tuple(key), {})[(parts[4], parts[5])] = _parse_combo(combo, line_no)
 
     for (m, n, j), table in clutch.items():
         config.add_clutch(m, n, j, table)

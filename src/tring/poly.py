@@ -19,7 +19,6 @@ is here, at the bottom of the import graph: nonzero_terms and add_term
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -360,21 +359,40 @@ def _merge_exps(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IncreasingMap:
-    """A strictly increasing map [1,n] -> [1,d], stored by its value list."""
+    """A strictly increasing map [1,n] -> [1,d], stored by its value list.
 
-    values: tuple[int, ...]
-    target: int
+    Immutable, and equal and hashed by (values, target)."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("values", "target")
+
+    def __init__(self, values: tuple[int, ...], target: int) -> None:
         prev = 0
-        for v in self.values:
+        for v in values:
             if v <= prev:
-                raise DomainError(f"values {self.values} are not strictly increasing")
+                raise DomainError(f"values {values} are not strictly increasing")
             prev = v
-        if prev > self.target:
-            raise DomainError(f"value {prev} exceeds target size {self.target}")
+        if prev > target:
+            raise DomainError(f"value {prev} exceeds target size {target}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "target", target)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.target) == (other.values, other.target)
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.target))
+
+    def __repr__(self) -> str:
+        return f"IncreasingMap(values={self.values!r}, target={self.target!r})"
 
     @property
     def source(self) -> int:

@@ -29,13 +29,11 @@ the expansion routines convert to and from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
-from . import base as base_algebra
 from .linalg import solve_exact
 from .poly import (
     Coeff,
@@ -59,6 +57,9 @@ from .ring import (  # InvalidElementError is re-exported
     project_components,
     quasi_shuffle,
 )
+
+if TYPE_CHECKING:  # base is imported where substitute_class runs
+    from .base import AlgebraElement, GradedAlgebra
 
 
 class ConsistencyError(RuntimeError):
@@ -394,8 +395,8 @@ def leading_term_check(x: RT0Element) -> bool:
 
 def substitute_class(
     x: RT0Element,
-    c: "base_algebra.AlgebraElement",
-    algebra: "base_algebra.GradedAlgebra",
+    c: AlgebraElement,
+    algebra: GradedAlgebra,
 ) -> dict[str, RT0Element]:
     """Replace t0 by a degree-one algebra class.
 
@@ -403,8 +404,10 @@ def substitute_class(
     mapping from algebra basis names to t0-free family elements.
     Nilpotence of c truncates the sum.
     """
+    from .base import DegreeMismatchError
+
     if not algebra.is_homogeneous(c, 1):
-        raise base_algebra.DegreeMismatchError(
+        raise DegreeMismatchError(
             "substitution class must be homogeneous of degree 1"
         )
     powers = [algebra.unit_element()]  # c^a; no product past the first zero
@@ -422,8 +425,7 @@ def substitute_class(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassConstants:
+class ClassConstants(NamedTuple):
     """The four degree-one marked-point classes of the two-slot theory."""
 
     psi0: RT0Element

@@ -247,6 +247,26 @@ def test_load_config_names_the_line_of_a_bad_integer(tmp_path, text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # read by position, this loaded as m=3, n=2 and then failed
+        # with no line number
+        ("clutch n=3 m=2 j=2 one one = one", "line 4: expected 'm=..', got 'n=3'"),
+        # read by position, this loaded as m=2, n=2, j=1
+        ("clutch x=2 y=2 z=1 one one = one", "line 4: expected 'm=..', got 'x=2'"),
+        ("clutch m=2 j=1 n=2 one one = one", "line 4: expected 'n=..', got 'j=1'"),
+    ],
+    ids=["swapped", "unnamed", "out-of-order"],
+)
+def test_clutch_fields_are_read_by_name(tmp_path, line, message):
+    bad = tmp_path / "bad.base"
+    bad.write_text(SECTION_HEAD + line + "\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(bad)
+    assert str(info.value) == message
+
+
 def test_resolve_base(tmp_path):
     assert resolve_base(None).name == "trivial"
     assert resolve_base("rank2").name == "rank2"

@@ -270,6 +270,16 @@ def test_config_with_an_unknown_basis_name_is_a_usage_error(capsys, tmp_path, li
     assert (code, out, err) == (2, "", "error: unknown basis name 'zz'\n")
 
 
+def test_config_with_a_misnamed_clutch_field_is_a_usage_error(capsys, tmp_path):
+    config = tmp_path / "swapped.base"
+    config.write_text(
+        "[algebra n=2]\nbasis one deg 0\nmul one one = one\n"
+        "clutch n=3 m=2 j=2 one one = one\n"
+    )
+    code, out, err = run_cli(capsys, "verify", "operad-axioms", "--base", str(config))
+    assert (code, out, err) == (2, "", "error: line 4: expected 'm=..', got 'n=3'\n")
+
+
 def test_non_canonical_variable_names_rejected(capsys):
     for text in ("t01", "t007", "t1*t02"):
         code, out, err = run_cli(capsys, "eval", text)
